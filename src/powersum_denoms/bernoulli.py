@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt, prod
 from typing import Iterable
 
 from .exact_poly import RationalPolynomial, poly_denominator
-from .padic import digit_sum, is_prime
+from .padic import is_prime
 
 
 @dataclass(frozen=True)
@@ -32,10 +32,12 @@ class SquarefreeProduct:
         for p in ps:
             if not is_prime(p):
                 raise ValueError(f"not a prime factor: {p}")
-        v = 1
-        for p in ps:
-            v *= p
-        return cls(primes=tuple(ps), value=v)
+        return cls._of_sorted_primes(ps)
+
+    @classmethod
+    def _of_sorted_primes(cls, primes: list[int]) -> "SquarefreeProduct":
+        # Unchecked: the caller guarantees distinct primes in increasing order.
+        return cls(primes=tuple(primes), value=prod(primes))
 
 
 class BernoulliTable:
@@ -118,8 +120,11 @@ def clausen_denominator(n: int) -> SquarefreeProduct:
     """
     if n <= 0 or n % 2 != 0:
         raise ValueError(f"von Staudt-Clausen applies to positive even n, got {n}")
-    ps = [d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1)]
-    return SquarefreeProduct.of(ps)
+    ps = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            ps.update(p for p in (d + 1, n // d + 1) if is_prime(p))
+    return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
 def bernoulli_poly_denominator_direct(
@@ -136,25 +141,21 @@ def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
 
     For odd n >= 3 it is the product of the primes p <= (n+1)/2 whose base-p
     digit sum of n is at least p.  For even n the von Staudt-Clausen primes
-    appear, together with the primes p <= (n+1)/3 outside that set whose
-    digit sum of n is at least p.  n = 1 gives the bare factor 2.
+    appear, together with the primes p <= (n+1)/3 whose digit sum of n is at
+    least p.  n = 1 gives the bare factor 2.  The digit-sum primes come from
+    the same O(sqrt(n)) search as q_n_formula's.
     """
+    # formulas imports this module for SquarefreeProduct, so import back late.
+    from .formulas import _digit_sum_primes
+
     if n < 1:
         raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
     if n == 1:
-        return SquarefreeProduct.of([2])
+        return SquarefreeProduct._of_sorted_primes([2])
     if n % 2 == 1:
-        ps = [
-            p
-            for p in range(2, (n + 1) // 2 + 1)
-            if is_prime(p) and digit_sum(n, p) >= p
-        ]
-        return SquarefreeProduct.of(ps)
-    ps = list(clausen_denominator(n).primes)
-    for p in range(2, (n + 1) // 3 + 1):
-        if is_prime(p) and n % (p - 1) != 0 and digit_sum(n, p) >= p:
-            ps.append(p)
-    return SquarefreeProduct.of(ps)
+        return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n, (n + 1) // 2))
+    ps = set(clausen_denominator(n).primes).union(_digit_sum_primes(n, (n + 1) // 3))
+    return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
 def almkvist_meurman_check(

@@ -7,16 +7,20 @@ renders one power-sum polynomial over its least common denominator;
 factor of q_n; ``bench`` times the formula routes against each other.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
-All output except timings is deterministic.
+A reader that closes the output pipe early ends the run quietly with 0.
+All output except timings is deterministic; ``seq`` writes each value as
+soon as it is computed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from . import bernoulli, formulas, padic, powersum
 from .exact_poly import content_split
@@ -109,6 +113,8 @@ class RunConfig:
         elif self.command == "bench":
             if self.max_n < 0 and self.spot is None:
                 raise UsageError(f"--max-n must be nonnegative, got {self.max_n}")
+            if self.spot is not None and self.spot < 0:
+                raise UsageError(f"--spot must be nonnegative, got {self.spot}")
             if self.fmt == "bfile":
                 raise UsageError("bench supports plain or csv output only")
             for m in self.methods:
@@ -137,15 +143,13 @@ def _sequence_value(sequence: str, method: str, n: int) -> int:
     return bernoulli.bernoulli_poly_denominator_formula(n).value
 
 
-def _seq_records(cfg: RunConfig) -> list[SequenceRecord]:
+def _seq_records(cfg: RunConfig) -> Iterator[SequenceRecord]:
     step = 2 if cfg.sequence == "Dclausen" else 1
-    return [
-        SequenceRecord(n, _sequence_value(cfg.sequence, cfg.method, n), cfg.method)
-        for n in range(cfg.start, cfg.end + 1, step)
-    ]
+    for n in range(cfg.start, cfg.end + 1, step):
+        yield SequenceRecord(n, _sequence_value(cfg.sequence, cfg.method, n), cfg.method)
 
 
-def _emit_records(records: list[SequenceRecord], cfg: RunConfig) -> None:
+def _emit_records(records: Iterable[SequenceRecord], cfg: RunConfig) -> None:
     if cfg.fmt == "csv":
         print("n,value,method")
         for r in records:
@@ -543,7 +547,16 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (``seq ... | head``): stop without a traceback,
+        # and point stdout at devnull so the interpreter's final flush of the
+        # unwritten buffer does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -10,10 +10,19 @@ Three independent routes, all returning the same squarefree number:
   primes determined by k and a single binomial residue, and q_n is the
   union of those sets over k.
 
-The digit-sum route touches each candidate prime once and is the one that
-scales to very large n.  Supporting checks (a binomial-sum congruence, the
-sharpness of the prime bound, and per-k bounds on the prime sets) live here
-too.
+The digit-sum route is the one that scales to very large n: it costs
+O(sqrt(n)) per index.  Only the sieve primes up to sqrt(n+1) get a digit
+sum.  A larger prime p has two base-p digits, n+1 = a*p + b, so its digit
+sum a + b is at least p exactly when p <= (n+1+a)/(a+1); together with
+p > (n+1)/(a+1) that leaves one candidate per quotient a, which needs only a
+primality test (Kellner, "On a product of certain primes", J. Number Theory,
+2017).  Supporting checks (a binomial-sum congruence, the sharpness of the
+prime bound, and per-k bounds on the prime sets) live here too.
+
+Bases are validated by the public functions of ``padic``; the loops here
+work on sieve primes and tested candidates, so they use the unchecked
+``padic._digit_sum`` and build results with the unchecked
+``SquarefreeProduct._of_sorted_primes``.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .bernoulli import SquarefreeProduct
-from .padic import digit_sum, is_prime, lucas_binom_mod
+from .padic import _digit_sum, is_prime, lucas_binom_mod
 from .powersum import bound_M
 
 
@@ -43,6 +52,22 @@ def _prime_limit(n: int) -> int:
     return (n + 2) // (2 if n % 2 == 0 else 3)
 
 
+def _digit_sum_primes(m: int, limit: int) -> list[int]:
+    """The primes p <= limit whose base-p digit sum of m >= 1 is at least p,
+    in increasing order, in O(sqrt(m)) steps."""
+    r = isqrt(m)
+    ps = [p for p in primes_upto(min(r, limit)) if _digit_sum(m, p) >= p]
+    # Above r, m = a*p + b with a = m // p < p; p falls as a rises, so walk a
+    # down to list the candidates m // (a+1) + 1 in increasing order.
+    for a in range(m // (r + 1), 0, -1):
+        p = m // (a + 1) + 1
+        if p > limit:
+            break
+        if p > r and (a + 1) * p <= m + a and is_prime(p):
+            ps.append(p)
+    return ps
+
+
 def q_n_formula(n: int) -> SquarefreeProduct:
     """q_n by the digit-sum criterion.
 
@@ -51,10 +76,7 @@ def q_n_formula(n: int) -> SquarefreeProduct:
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    m = n + 1
-    return SquarefreeProduct.of(
-        p for p in primes_upto(_prime_limit(n)) if digit_sum(m, p) >= p
-    )
+    return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n + 1, _prime_limit(n)))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,16 @@ nonzero entries in a row of Pascal's triangle mod p, and a digit-filling
 construction that exhibits a multiple of p - 1 whose binomial coefficient
 survives reduction mod p.
 
-Every function validates its base: composite or non-positive bases raise
-ValueError up front rather than producing digit garbage.
+Every public function validates its base: composite or non-positive bases
+raise ValueError up front rather than producing digit garbage.  The
+unchecked ``_digit_sum`` is for loops whose bases are already known to be
+prime (sieve output or candidates that passed ``is_prime``), so that the
+check is paid once at the public boundary, not once per digit sum.
+
+``is_prime`` is the package's one primality test: trial division by the
+primes up to 41, then a deterministic Miller-Rabin test with those same
+thirteen bases, which is exact below 3.3 * 10^24; larger inputs fall back
+to trial division.
 """
 
 from __future__ import annotations
@@ -16,19 +24,42 @@ from dataclasses import dataclass
 from math import comb
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# psi_13, the least strong pseudoprime to all of _BASES.  Twelve bases are not
+# enough: psi_12 = 318665857834031151167461 passes 2..37 and is composite.
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check, fine for the small bases used here."""
+    """Primality of n: deterministic Miller-Rabin below 3.3 * 10^24, trial
+    division above."""
     if n < 2:
         return False
-    if n < 4:
+    for p in _BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    if n >= _MILLER_RABIN_BOUND:
+        f = 43
+        while f * f <= n:
+            if n % f == 0:
+                return False
+            f += 2
+        return True
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
@@ -75,6 +106,11 @@ def digit_sum(x: int, p: int) -> int:
     _require_prime(p)
     if x < 0:
         raise ValueError(f"digit sum needs a nonnegative integer, got {x}")
+    return _digit_sum(x, p)
+
+
+def _digit_sum(x: int, p: int) -> int:
+    # digit_sum without the checks: x >= 0 and p prime are the caller's to ensure.
     s = 0
     while x:
         x, r = divmod(x, p)

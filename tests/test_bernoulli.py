@@ -140,6 +140,19 @@ def test_poly_denominator_routes_agree():
         assert sp.value % bernoulli_numbers(n).number(n).denominator == 0
 
 
+def test_poly_denominator_routes_agree_to_300():
+    for n in range(160, 301):
+        assert bernoulli_poly_denominator_formula(n).value == bernoulli_poly_denominator_direct(n)
+
+
+def test_clausen_matches_divisor_scan():
+    from powersum_denoms.padic import is_prime
+
+    for n in range(2, 3000, 2):
+        scan = tuple(d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1))
+        assert clausen_denominator(n).primes == scan
+
+
 def test_almkvist_meurman_examples():
     for n in (1, 4, 9):
         for h in (-3, 0, 5):

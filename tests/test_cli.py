@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from powersum_denoms.cli import main, parse_bfile
@@ -202,6 +207,31 @@ def test_bench_spot(capsys):
     )
     assert code == 0
     assert "n = 5000" in out
+
+
+def test_bench_negative_spot_is_usage_error(capsys):
+    code, out, err = run(capsys, "bench", "--spot", "-3")
+    assert code == 2
+    assert out == "" and err == "error: --spot must be nonnegative, got -3\n"
+
+
+def test_seq_closed_pipe_exits_quietly():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    # Far more output than a pipe buffers, so the writer meets the closed pipe.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powersum_denoms", "seq", "--to", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_bench_all_methods_default(capsys):

@@ -1,3 +1,7 @@
+import random
+from bisect import bisect_right
+from math import floor, prod
+
 import pytest
 
 from powersum_denoms.formulas import (
@@ -154,3 +158,34 @@ def test_pset_bound_sweep():
 def test_growth_evidence_small():
     peaks = [max(q_n_formula(n).value for n in range(N + 1)) for N in (20, 60, 120)]
     assert peaks[0] < peaks[1] < peaks[2]
+
+
+def _plain_digit_sum(x, p):
+    s = 0
+    while x:
+        x, r = divmod(x, p)
+        s += r
+    return s
+
+
+def _q_primes_oracle(n, primes):
+    """Digit-sum criterion over every sieve prime up to the sharp bound."""
+    m = n + 1
+    candidates = primes[: bisect_right(primes, floor(bound_M(n)))]
+    return tuple(p for p in candidates if _plain_digit_sum(m, p) >= p)
+
+
+def test_formula_matches_full_scan_small():
+    primes = primes_upto(1501)
+    for n in range(3000):
+        assert q_n_formula(n).primes == _q_primes_oracle(n, primes)
+
+
+def test_formula_matches_full_scan_large():
+    # n = 10^6 checks completeness: no qualifying prime above sqrt(n+1) is missed.
+    ns = [10**6, *random.Random(2017).sample(range(10**5, 10**7 + 1), 20)]
+    primes = primes_upto(max(ns) // 2 + 1)
+    for n in ns:
+        q = q_n_formula(n)
+        assert q.primes == _q_primes_oracle(n, primes), n
+        assert q.value == prod(q.primes)

@@ -34,6 +34,24 @@ def test_is_prime():
     assert not is_prime(91)
 
 
+def test_is_prime_matches_sieve():
+    from powersum_denoms.formulas import primes_upto
+
+    assert [n for n in range(10**5) if is_prime(n)] == primes_upto(10**5 - 1)
+
+
+def test_is_prime_large():
+    # Strong pseudoprimes to the first 1, 4, 9..11 and 12 prime bases; the last
+    # is why is_prime uses 13 Miller-Rabin bases.
+    psi_12 = 318665857834031151167461
+    assert psi_12 == 399165290221 * 798330580441
+    for n in (2047, 3215031751, 3825123056546413051, psi_12):
+        assert not is_prime(n)
+    assert is_prime(999999999989)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) ** 2)
+
+
 def test_digits_examples():
     assert digits(0, 5).digits == ()
     assert digits(20, 3).digits == (2, 0, 2)
