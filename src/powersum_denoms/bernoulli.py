@@ -5,6 +5,14 @@ Bernoulli polynomials as exact rational polynomials, the von Staudt-Clausen
 denominator, and two independent routes to the denominator of B_n(x): direct
 coefficient inspection and a squarefree product over digit-sum criteria.
 The integrality check k^n * (B_n(h/k) - B_n) rounds out the module.
+
+The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
+of the Seidel boustrophedon triangle give every even-index B_2k through
+B_2k = (-1)^(k-1) * 2k * A_(2k-1) / (4^k * (4^k - 1)) (Brent and Harvey,
+"Fast computation of Bernoulli, tangent and secant numbers", 2011), so the
+table needs no rational arithmetic until that last division.  Every B_n(x)
+is built once and cached; the table and the polynomials only ever grow, so
+no caller can see a stale value.
 """
 
 from __future__ import annotations
@@ -12,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt, prod
+from itertools import accumulate
+from math import comb, isqrt, lcm, prod
 from typing import Iterable
 
 from .exact_poly import RationalPolynomial, poly_denominator
@@ -43,13 +52,18 @@ class SquarefreeProduct:
 class BernoulliTable:
     """Exact Bernoulli numbers B_0 .. B_max_n.
 
-    Filled by the recurrence sum(binomial(n+1, k) * B_k for k in 0..n) = 0,
-    skipping the odd indices above 1 whose value is identically zero.  The
-    internal list only ever grows, so values already handed out never change.
+    B_1 = -1/2, the odd indices above 1 are 0, and each even index 2k >= 2
+    is read off the zigzag number A_(2k-1), the last entry of row 2k - 1 of
+    the Seidel boustrophedon triangle.  Only the last row is kept: the next
+    one is 0 followed by the running sums of the last row reversed, one pass
+    of integer additions, so the table grows one index at a time as cheaply
+    as in one go.  The internal list only ever grows, so values already
+    handed out never change.
     """
 
     def __init__(self, upto: int = 0) -> None:
         self._values: list[Fraction] = [Fraction(1)]
+        self._row: list[int] = [1]  # row 0 of the Seidel triangle
         self.extend_to(upto)
 
     @property
@@ -59,15 +73,16 @@ class BernoulliTable:
     def extend_to(self, n: int) -> None:
         while len(self._values) <= n:
             m = len(self._values)
-            if m % 2 == 1 and m > 1:
-                self._values.append(Fraction(0))
+            if m % 2 == 1:
+                self._values.append(Fraction(-1, 2) if m == 1 else Fraction(0))
                 continue
-            # B_0 and B_1 terms, then the even-index tail.
-            s = Fraction(1)
-            if m >= 2:
-                s += (m + 1) * self._values[1]
-            s += sum(comb(m + 1, k) * self._values[k] for k in range(2, m, 2))
-            self._values.append(-s / (m + 1))
+            while len(self._row) < m:
+                self._row = list(accumulate(reversed(self._row), initial=0))
+            k = m // 2
+            four_k = 4**k
+            self._values.append(
+                Fraction((-1) ** (k - 1) * m * self._row[-1], four_k * (four_k - 1))
+            )
 
     def number(self, n: int) -> Fraction:
         """B_n, extending the table as needed."""
@@ -86,30 +101,21 @@ def bernoulli_numbers(upto: int) -> BernoulliTable:
     return _SHARED
 
 
-def _build_poly(n: int, table: BernoulliTable) -> RationalPolynomial:
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = comb(n, k) * table.number(k)
-    return RationalPolynomial(coeffs)
-
-
 @lru_cache(maxsize=None)
 def _shared_poly(n: int) -> RationalPolynomial:
-    return _build_poly(n, bernoulli_numbers(n))
+    table = bernoulli_numbers(n)
+    return RationalPolynomial([comb(n, k) * table.number(k) for k in range(n, -1, -1)])
 
 
-def bernoulli_poly(n: int, table: BernoulliTable | None = None) -> RationalPolynomial:
+def bernoulli_poly(n: int) -> RationalPolynomial:
     """B_n(x) = sum(binomial(n, k) * B_k * x^(n-k) for k in 0..n).
 
-    With no explicit table the result is cached; that is safe because the
-    polynomials are immutable.
+    Built once per n from the shared table and cached; that is safe because
+    the polynomials are immutable.
     """
     if n < 0:
         raise ValueError(f"Bernoulli polynomials are indexed from 0, got {n}")
-    if table is None:
-        return _shared_poly(n)
-    table.extend_to(n)
-    return _build_poly(n, table)
+    return _shared_poly(n)
 
 
 def clausen_denominator(n: int) -> SquarefreeProduct:
@@ -127,13 +133,11 @@ def clausen_denominator(n: int) -> SquarefreeProduct:
     return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
-def bernoulli_poly_denominator_direct(
-    n: int, table: BernoulliTable | None = None
-) -> int:
+def bernoulli_poly_denominator_direct(n: int) -> int:
     """Denominator of B_n(x) read off its coefficients, for n >= 1."""
     if n < 1:
         raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
-    return poly_denominator(bernoulli_poly(n, table))
+    return poly_denominator(bernoulli_poly(n))
 
 
 def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
@@ -158,19 +162,32 @@ def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
     return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
-def almkvist_meurman_check(
-    n: int, h: int, k: int, table: BernoulliTable | None = None
-) -> bool:
+@lru_cache(maxsize=None)
+def _almkvist_terms(n: int) -> tuple[tuple[int, ...], int]:
+    # c_j = binomial(n, j) * B_j * D for j < n, with D the least common
+    # denominator of those terms: the coefficients of B_n(x) - B_n, scaled.
+    coeffs = bernoulli_poly(n).coeffs[1:]
+    d = lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * d) for c in reversed(coeffs)), d
+
+
+def almkvist_meurman_check(n: int, h: int, k: int) -> bool:
     """Whether k^n * (B_n(h/k) - B_n) is an integer.
 
-    The identity holds for every n >= 0, integer h, and k >= 1; the checker
-    recomputes it from scratch so it can serve as an independent probe.
+    The identity holds for every n >= 0, integer h, and k >= 1.  With the
+    scaled integer terms c_j of B_n(x) - B_n over their common denominator
+    D, the value times D is sum(c_j * h^(n-j) * k^j for j < n), so the check
+    is that sum mod D, by homogeneous Horner in integers, independent of the
+    rational evaluation of B_n(x).
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"denominator must be positive, got {k}")
-    if table is None:
-        table = bernoulli_numbers(n)
-    value = (bernoulli_poly(n, table).eval(Fraction(h, k)) - table.number(n)) * k**n
-    return value.denominator == 1
+    terms, d = _almkvist_terms(n)
+    acc = 0
+    k_power = 1
+    for c in terms:
+        acc = acc * h + c * k_power
+        k_power *= k
+    return acc * h % d == 0

@@ -20,6 +20,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Iterator
 
 from . import bernoulli, formulas, padic, powersum
@@ -108,6 +109,10 @@ class RunConfig:
         elif self.command == "witness":
             if self.n < 0:
                 raise UsageError(f"--n must be nonnegative, got {self.n}")
+            # Before the primality test, which is slow for very large p: a
+            # prime above the sharp bound never divides q_n.
+            if self.p > powersum.bound_M(self.n):
+                raise UsageError(f"p is not a factor of q_n (n={self.n}, p={self.p})")
             if self.p == 2 or not padic.is_prime(self.p):
                 raise UsageError(f"--p must be an odd prime, got {self.p}")
         elif self.command == "bench":
@@ -250,6 +255,26 @@ class SuiteResult:
             self.failures.append(message)
 
 
+def _worker_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
+    """[lo, hi) cut into equal spans, one per process: at most --workers, the
+    number of indices, or the CPU count, whichever is least."""
+    count = min(workers, hi - lo, os.cpu_count() or 1)
+    if count <= 1:
+        return [(lo, hi)]
+    chunk = -(-(hi - lo) // count)
+    return [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
+
+
+def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
+    """fn over the spans of [lo, hi), in a process pool when there is more
+    than one span; the per-span lists are joined in order."""
+    spans = _worker_spans(lo, hi, workers)
+    if len(spans) == 1:
+        return fn(spans[0])
+    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+        return [row for part in pool.map(fn, spans) for row in part]
+
+
 def _agreement_chunk(bounds: tuple[int, int]) -> list[tuple[int, tuple[int, ...]]]:
     lo, hi = bounds
     out = []
@@ -270,16 +295,7 @@ def _agreement_chunk(bounds: tuple[int, int]) -> list[tuple[int, tuple[int, ...]
 
 def _suite_agreement(max_n: int, workers: int = 1) -> SuiteResult:
     result = SuiteResult("agreement")
-    if workers > 1:
-        chunk = max(1, (max_n + workers) // workers)
-        spans = [
-            (lo, min(lo + chunk, max_n + 1)) for lo in range(0, max_n + 1, chunk)
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = [row for part in pool.map(_agreement_chunk, spans) for row in part]
-    else:
-        rows = _agreement_chunk((0, max_n + 1))
-    for n, values in rows:
+    for n, values in _map_spans(_agreement_chunk, 0, max_n + 1, workers):
         result.check(
             len(set(values)) == 1,
             f"q_{n}: formula/epsilon/psets/brute disagree: {values}",
@@ -364,12 +380,11 @@ def _suite_witnesses(max_n: int) -> SuiteResult:
 
 def _suite_almkvist(max_n: int) -> SuiteResult:
     result = SuiteResult("almkvist")
-    table = bernoulli.bernoulli_numbers(max_n)
     for n in range(max_n + 1):
         for h in range(-10, 11):
             for k in range(1, 11):
                 result.check(
-                    bernoulli.almkvist_meurman_check(n, h, k, table),
+                    bernoulli.almkvist_meurman_check(n, h, k),
                     f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}",
                 )
     return result
@@ -404,19 +419,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 # bench
 
 
-def _bench_values(args: tuple[str, int, int]) -> list[int]:
-    method, lo, hi = args
-    return [_sequence_value("q", method, n) for n in range(lo, hi)]
+def _bench_values(method: str, bounds: tuple[int, int]) -> list[int]:
+    return [_sequence_value("q", method, n) for n in range(*bounds)]
 
 
 def _bench_run(method: str, indices: tuple[int, int], workers: int) -> list[int]:
-    lo, hi = indices
-    if workers > 1:
-        chunk = max(1, (hi - lo + workers - 1) // workers)
-        spans = [(method, a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return [v for part in pool.map(_bench_values, spans) for v in part]
-    return _bench_values((method, lo, hi))
+    return _map_spans(partial(_bench_values, method), *indices, workers)
 
 
 def cmd_bench(cfg: RunConfig) -> int:

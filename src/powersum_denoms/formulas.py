@@ -129,16 +129,16 @@ def pset(m: int, k: int) -> SquarefreeProduct:
     if not 0 <= k <= m:
         raise ValueError(f"index out of range: k={k}, m={m}")
     if k == 0 or (k % 2 == 1 and k >= 3):
-        return SquarefreeProduct.of(())
+        return SquarefreeProduct._of_sorted_primes([])
     if k == 1:
-        return SquarefreeProduct.of([2] if m % 2 == 1 else [])
+        return SquarefreeProduct._of_sorted_primes([2] if m % 2 == 1 else [])
     candidates = set()
     for d in range(1, isqrt(k) + 1):
         if k % d == 0:
             candidates.add(d + 1)
             candidates.add(k // d + 1)
-    return SquarefreeProduct.of(
-        p for p in candidates if is_prime(p) and lucas_binom_mod(m, k, p) != 0
+    return SquarefreeProduct._of_sorted_primes(
+        sorted(p for p in candidates if is_prime(p) and lucas_binom_mod(m, k, p) != 0)
     )
 
 
@@ -154,7 +154,7 @@ def q_n_via_psets(n: int) -> SquarefreeProduct:
     ps: set[int] = set()
     for k in range(1, m):
         ps.update(pset(m, k).primes)
-    return SquarefreeProduct.of(ps)
+    return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
 def hermite_bachmann_holds(m: int, p: int) -> bool:

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
-from .bernoulli import BernoulliTable, bernoulli_numbers, bernoulli_poly
+from .bernoulli import bernoulli_poly
 from .exact_poly import (
     RationalPolynomial,
     content_split,
@@ -23,7 +22,7 @@ from .exact_poly import (
 )
 
 
-def power_sum_poly(n: int, table: BernoulliTable | None = None) -> RationalPolynomial:
+def power_sum_poly(n: int) -> RationalPolynomial:
     """S_n(x) = (B_{n+1}(x) - B_{n+1}) / (n+1), the sum 1^n + ... + (x-1)^n.
 
     Defined for n >= 1; S_n is a degree n+1 polynomial with zero constant
@@ -31,20 +30,18 @@ def power_sum_poly(n: int, table: BernoulliTable | None = None) -> RationalPolyn
     """
     if n < 1:
         raise ValueError(f"power-sum polynomial needs n >= 1, got {n}")
-    b = bernoulli_poly(n + 1, table)
+    b = bernoulli_poly(n + 1)
     return (b - RationalPolynomial([b.coefficient(0)])) * Fraction(1, n + 1)
 
 
-def shifted_power_sum_poly(
-    n: int, table: BernoulliTable | None = None
-) -> RationalPolynomial:
+def shifted_power_sum_poly(n: int) -> RationalPolynomial:
     """S_n(x) + x^n, the polynomial with value 1^n + ... + x^n at integers.
 
     Handles n = 0 as well, where the sum is simply x.
     """
     if n == 0:
         return RationalPolynomial([0, 1])
-    return power_sum_poly(n, table) + RationalPolynomial.monomial(n)
+    return power_sum_poly(n) + RationalPolynomial.monomial(n)
 
 
 def power_sum_oracle(n: int) -> RationalPolynomial:
@@ -64,7 +61,7 @@ def power_sum_oracle(n: int) -> RationalPolynomial:
     return lagrange_interpolate(points)
 
 
-def d_n(n: int, table: BernoulliTable | None = None) -> int:
+def d_n(n: int) -> int:
     """Smallest positive d with d * (1^n + ... + x^n) having integer
     coefficients as a polynomial in x.
 
@@ -73,7 +70,7 @@ def d_n(n: int, table: BernoulliTable | None = None) -> int:
     """
     if n == 0:
         return 1
-    base = power_sum_poly(n, table)
+    base = power_sum_poly(n)
     shifted = base + RationalPolynomial.monomial(n)
     d = poly_denominator(shifted)
     if poly_denominator(base) != d:
@@ -81,14 +78,14 @@ def d_n(n: int, table: BernoulliTable | None = None) -> int:
     return d
 
 
-def q_n_bruteforce(n: int, table: BernoulliTable | None = None) -> int:
+def q_n_bruteforce(n: int) -> int:
     """q_n = d_n / (n+1), computed from the polynomial itself.
 
     Divisibility of d_n by n+1 and squarefreeness of the quotient are
     structural facts; violations raise ArithmeticError because they can
     only come from a bug.
     """
-    d = d_n(n, table)
+    d = d_n(n)
     if d % (n + 1) != 0:
         raise ArithmeticError(f"d_{n} = {d} is not divisible by {n + 1}")
     q = d // (n + 1)
@@ -111,21 +108,17 @@ def bound_M(n: int) -> Fraction:
     return Fraction(n + 2, 2 if n % 2 == 0 else 3)
 
 
-def t_n_poly(n: int, table: BernoulliTable | None = None) -> RationalPolynomial:
+def t_n_poly(n: int) -> RationalPolynomial:
     """The monic degree-n polynomial (n+1) * S_n(x) / x.
 
     Its coefficients are binomial(n+1, k) * B_k for k = 0..n, so the common
     denominator of S_n can be studied one binomial-weighted Bernoulli number
-    at a time.
+    at a time.  It is B_{n+1}(x) - B_{n+1} divided by x, so its coefficients
+    are those of the cached B_{n+1}(x) above the constant term.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    if table is None:
-        table = bernoulli_numbers(n)
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        coeffs[n - k] = comb(n + 1, k) * table.number(k)
-    return RationalPolynomial(coeffs)
+    return RationalPolynomial(bernoulli_poly(n + 1).coeffs[1:])
 
 
 @dataclass(frozen=True)
@@ -144,7 +137,7 @@ class FaulhaberForm:
         return RationalPolynomial(self.coeffs) * Fraction(1, self.denominator)
 
 
-def faulhaber_form(n: int, table: BernoulliTable | None = None) -> FaulhaberForm:
+def faulhaber_form(n: int) -> FaulhaberForm:
     """Write 1^n + ... + x^n over its least common denominator.
 
     The content of the scaled polynomial is 1 (the coefficients of the
@@ -153,7 +146,7 @@ def faulhaber_form(n: int, table: BernoulliTable | None = None) -> FaulhaberForm
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    scale, primitive = content_split(shifted_power_sum_poly(n, table))
+    scale, primitive = content_split(shifted_power_sum_poly(n))
     if scale.numerator != 1:
         raise ArithmeticError(
             f"power-sum coefficients share a factor of {scale.numerator} at n={n}"

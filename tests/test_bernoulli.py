@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 
+from powersum_denoms import bernoulli
 from powersum_denoms.bernoulli import (
     BernoulliTable,
     SquarefreeProduct,
@@ -18,6 +20,24 @@ F = Fraction
 
 # denominators of B_n(x) for n = 1..19
 POLY_DENOMS = [2, 6, 2, 30, 6, 42, 6, 30, 10, 66, 6, 2730, 210, 30, 6, 510, 30, 3990, 210]
+
+
+def recurrence_oracle(upto: int) -> list[Fraction]:
+    """B_0 .. B_upto from sum(binomial(m+1, k) * B_k for k in 0..m) = 0, in
+    Fractions: the route the integer table replaced."""
+    values = [F(1)]
+    for m in range(1, upto + 1):
+        if m % 2 == 1 and m > 1:
+            values.append(F(0))
+            continue
+        s = sum(comb(m + 1, k) * values[k] for k in range(m))
+        values.append(-s / (m + 1))
+    return values
+
+
+def fraction_horner_check(poly: RationalPolynomial, n: int, h: int, k: int) -> bool:
+    """Integrality of k^n * (poly(h/k) - poly(0)) by rational Horner evaluation."""
+    return ((poly.eval(F(h, k)) - poly.coefficient(0)) * k**n).denominator == 1
 
 
 def test_first_values():
@@ -48,10 +68,19 @@ def test_table_grows_monotonically():
         t.number(-1)
 
 
+def test_table_matches_recurrence_oracle():
+    oracle = recurrence_oracle(600)
+    one_shot = BernoulliTable(600)
+    assert [one_shot.number(n) for n in range(601)] == oracle
+    grown = BernoulliTable()
+    for n in range(601):
+        grown.extend_to(n)
+        assert grown.max_n == n
+        assert grown.number(n) == oracle[n], f"n={n}"
+
+
 def test_recurrence_direct():
     # sum(binom(n+1, k) * B_k, k = 0..n) vanishes for n >= 1
-    from math import comb
-
     t = bernoulli_numbers(40)
     for n in range(1, 41):
         assert sum(comb(n + 1, k) * t.number(k) for k in range(n + 1)) == 0
@@ -75,16 +104,20 @@ def test_bernoulli_poly_small():
 def test_bernoulli_poly_structure():
     t = bernoulli_numbers(60)
     for n in range(61):
-        b = bernoulli_poly(n, t)
+        b = bernoulli_poly(n)
         assert b.degree == n
         assert b.leading_coefficient == 1
         assert b.coefficient(0) == t.number(n)
 
 
-def test_bernoulli_poly_explicit_table_matches_cached():
+def test_bernoulli_poly_matches_fresh_table():
     t = BernoulliTable(25)
     for n in (0, 1, 7, 25):
-        assert bernoulli_poly(n, t) == bernoulli_poly(n)
+        expected = RationalPolynomial(
+            [comb(n, n - i) * t.number(n - i) for i in range(n + 1)]
+        )
+        assert bernoulli_poly(n) == expected
+        assert bernoulli_poly(n) is bernoulli_poly(n)
 
 
 def test_clausen_examples():
@@ -164,9 +197,8 @@ def test_almkvist_meurman_examples():
 
 
 def test_almkvist_meurman_sweep():
-    t = bernoulli_numbers(25)
     assert all(
-        almkvist_meurman_check(n, h, k, t)
+        almkvist_meurman_check(n, h, k)
         for n in range(26)
         for h in range(-6, 7)
         for k in range(1, 7)
@@ -175,3 +207,45 @@ def test_almkvist_meurman_sweep():
 
 def test_poly_uses_rational_polynomial():
     assert isinstance(bernoulli_poly(5), RationalPolynomial)
+
+
+def test_almkvist_meurman_matches_fraction_horner():
+    for n in range(61):
+        b = bernoulli_poly(n)
+        for h in range(-20, 21):
+            for k in range(1, 21):
+                assert almkvist_meurman_check(n, h, k) == fraction_horner_check(
+                    b, n, h, k
+                ), f"n={n}, h={h}, k={k}"
+
+
+def test_almkvist_terms_are_scaled_coefficients():
+    oracle = recurrence_oracle(60)
+    for n in range(61):
+        terms, d = bernoulli._almkvist_terms(n)
+        exact = [comb(n, j) * oracle[j] for j in range(n)]
+        assert d == lcm(*(c.denominator for c in exact))
+        assert [F(c, d) for c in terms] == exact
+
+
+def test_almkvist_meurman_perturbed_term_fails(monkeypatch):
+    # Adding x/3 to B_n(x) adds h * k^(n-1) / 3 to the checked value, which is
+    # not an integer unless 3 divides h or k: the check must notice, and agree
+    # with rational Horner evaluation of the same perturbed polynomial.
+    exact = bernoulli.bernoulli_poly
+    bump = RationalPolynomial([0, F(1, 3)])
+    monkeypatch.setattr(bernoulli, "bernoulli_poly", lambda n: exact(n) + bump)
+    bernoulli._almkvist_terms.cache_clear()
+    try:
+        outcomes = set()
+        for n in range(2, 21):
+            b = exact(n) + bump
+            for h in range(-6, 7):
+                for k in range(1, 7):
+                    ok = almkvist_meurman_check(n, h, k)
+                    assert ok == fraction_horner_check(b, n, h, k), f"n={n}, h={h}, k={k}"
+                    outcomes.add(ok)
+        assert not almkvist_meurman_check(2, 1, 1)
+        assert outcomes == {True, False}
+    finally:
+        bernoulli._almkvist_terms.cache_clear()

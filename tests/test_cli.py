@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from powersum_denoms.cli import main, parse_bfile
+from powersum_denoms.cli import _worker_spans, main, parse_bfile
 
 Q_SEQ = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
 D_SEQ = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20, 66, 24, 2730, 420, 90, 48, 510]
@@ -149,6 +149,38 @@ def test_witness_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "witness", "--n", "20", "--p", "2")
     assert code == 2
+
+
+def _run_module(*argv, timeout):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "powersum_denoms", *argv],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        timeout=timeout,
+    )
+
+
+def test_witness_prime_beyond_bound_returns_at_once():
+    # 2^89 - 1 is prime, far past the range of the Miller-Rabin bases, and far
+    # above the sharp bound (n+2)/3 = 7/3 for n = 5.
+    proc = _run_module("witness", "--n", "5", "--p", str(2**89 - 1), timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: p is not a factor of q_n (n=5, p={2**89 - 1})\n".encode()
+
+
+def test_worker_spans_are_capped(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _worker_spans(0, 61, 1) == [(0, 61)]
+    assert _worker_spans(0, 61, 2) == [(0, 31), (31, 61)]
+    assert len(_worker_spans(0, 61, 10**9)) == 4
+    assert _worker_spans(0, 3, 10**9) == [(0, 1), (1, 2), (2, 3)]
+    assert _worker_spans(7, 8, 16) == [(7, 8)]
+    assert _worker_spans(0, 10, 3) == [(0, 4), (4, 8), (8, 10)]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _worker_spans(0, 61, 8) == [(0, 61)]
 
 
 def test_verify_single_suite(capsys):

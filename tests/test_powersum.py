@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from powersum_denoms.bernoulli import bernoulli_numbers
 from powersum_denoms.exact_poly import RationalPolynomial, poly_denominator
 from powersum_denoms.powersum import (
     bound_M,
@@ -156,9 +155,8 @@ def test_faulhaber_form_structure():
         assert f.poly() == shifted_power_sum_poly(n)
 
 
-def test_explicit_table_accepted():
-    t = bernoulli_numbers(30)
-    assert power_sum_poly(7, t) == power_sum_poly(7)
-    assert d_n(12, t) == 2730
-    assert q_n_bruteforce(12, t) == 210
-    assert faulhaber_form(5, t).denominator == 12
+def test_shared_table_values():
+    assert power_sum_poly(7) == power_sum_oracle(7) - RationalPolynomial.monomial(7)
+    assert d_n(12) == 2730
+    assert q_n_bruteforce(12) == 210
+    assert faulhaber_form(5).denominator == 12
