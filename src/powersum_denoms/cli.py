@@ -1,10 +1,15 @@
-"""Command-line interface.
+"""Command-line interface: a thin layer over the library.
 
 Subcommands: ``seq`` emits integer sequences (d, q, and the two Bernoulli
 polynomial denominator variants) in plain, csv, or b-file form; ``poly``
 renders one power-sum polynomial over its least common denominator;
 ``verify`` runs the cross-checking suites; ``witness`` explains a prime
-factor of q_n; ``bench`` times the formula routes against each other.
+factor of q_n; ``bench`` times the q_n routes against each other.
+
+Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
+first and raises ``UsageError`` for a bad one.  ``Q_ROUTES`` is the one
+table of the four q_n routes that ``seq``, ``bench`` and the agreement
+suite share; ``SUITES`` names the verify suites.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
 A reader that closes the output pipe early ends the run quietly with 0.
@@ -21,22 +26,20 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, Iterator
 
 from . import bernoulli, formulas, padic, powersum
 from .exact_poly import content_split
 
 SEQUENCES = ("d", "q", "Dclausen", "Dpoly")
-METHODS = ("formula", "epsilon", "psets", "brute")
-SUITES = (
-    "agreement",
-    "clausen",
-    "hermite",
-    "bounds",
-    "witnesses",
-    "almkvist",
-    "all",
-)
+# The four routes to q_n.  Each looks its function up when it is called, so a
+# module attribute rebound after import (a tracing wrapper, say) is used.
+Q_ROUTES = {
+    "formula": lambda n: formulas.q_n_formula(n).value,
+    "epsilon": lambda n: formulas.q_n_epsilon(n).value(),
+    "psets": lambda n: formulas.q_n_via_psets(n).value,
+    "brute": lambda n: powersum.q_n_bruteforce(n),
+}
+METHODS = tuple(Q_ROUTES)
 
 _METHODS_FOR_SEQ = {
     "d": METHODS,
@@ -50,97 +53,11 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    """One emitted sequence entry, tagged with the method that produced it."""
-
-    n: int
-    value: int
-    method: str
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs for one CLI invocation."""
-
-    command: str
-    sequence: str = "q"
-    start: int = 0
-    end: int = 0
-    fmt: str = "plain"
-    method: str = "formula"
-    methods: tuple[str, ...] = ()
-    suite: str = "all"
-    max_n: int = 50
-    workers: int = 1
-    shifted: bool = False
-    n: int = 0
-    p: int = 0
-    spot: int | None = None
-
-    def validate(self) -> None:
-        if self.workers < 1:
-            raise UsageError(f"--workers must be at least 1, got {self.workers}")
-        if self.command == "seq":
-            if self.start < 0:
-                raise UsageError(f"--from must be nonnegative, got {self.start}")
-            if self.end < self.start:
-                raise UsageError(f"--to must be >= --from, got {self.start}..{self.end}")
-            if self.method not in _METHODS_FOR_SEQ[self.sequence]:
-                raise UsageError(
-                    f"method {self.method!r} is not available for --seq {self.sequence}"
-                )
-            if self.sequence == "Dclausen" and (
-                self.start % 2 or self.end % 2 or self.start < 2
-            ):
-                raise UsageError(
-                    "--seq Dclausen needs an even range starting at 2 or above"
-                )
-            if self.sequence == "Dpoly" and self.start < 1:
-                raise UsageError("--seq Dpoly needs --from >= 1")
-        elif self.command == "poly":
-            if self.n < 0:
-                raise UsageError(f"--n must be nonnegative, got {self.n}")
-            if self.n == 0 and not self.shifted:
-                raise UsageError("the unshifted power sum needs --n >= 1")
-        elif self.command == "verify":
-            if self.max_n < 0:
-                raise UsageError(f"--max-n must be nonnegative, got {self.max_n}")
-        elif self.command == "witness":
-            if self.n < 0:
-                raise UsageError(f"--n must be nonnegative, got {self.n}")
-            # Before the primality test, which is slow for very large p: a
-            # prime above the sharp bound never divides q_n.
-            if self.p > powersum.bound_M(self.n):
-                raise UsageError(f"p is not a factor of q_n (n={self.n}, p={self.p})")
-            if self.p == 2 or not padic.is_prime(self.p):
-                raise UsageError(f"--p must be an odd prime, got {self.p}")
-        elif self.command == "bench":
-            if self.max_n < 0 and self.spot is None:
-                raise UsageError(f"--max-n must be nonnegative, got {self.max_n}")
-            if self.spot is not None and self.spot < 0:
-                raise UsageError(f"--spot must be nonnegative, got {self.spot}")
-            if self.fmt == "bfile":
-                raise UsageError("bench supports plain or csv output only")
-            for m in self.methods:
-                if m not in METHODS:
-                    raise UsageError(f"unknown method {m!r}")
-
-
 def _sequence_value(sequence: str, method: str, n: int) -> int:
-    if sequence == "q" or sequence == "d":
-        if method == "brute":
-            value = (
-                powersum.d_n(n) if sequence == "d" else powersum.q_n_bruteforce(n)
-            )
-            return value
-        if method == "formula":
-            q = formulas.q_n_formula(n).value
-        elif method == "epsilon":
-            q = formulas.q_n_epsilon(n).value()
-        else:
-            q = formulas.q_n_via_psets(n).value
-        return q if sequence == "q" else (n + 1) * q
+    if sequence == "q":
+        return Q_ROUTES[method](n)
+    if sequence == "d":
+        return powersum.d_n(n) if method == "brute" else (n + 1) * Q_ROUTES[method](n)
     if sequence == "Dclausen":
         return bernoulli.clausen_denominator(n).value
     if method == "brute":
@@ -148,41 +65,28 @@ def _sequence_value(sequence: str, method: str, n: int) -> int:
     return bernoulli.bernoulli_poly_denominator_formula(n).value
 
 
-def _seq_records(cfg: RunConfig) -> Iterator[SequenceRecord]:
-    step = 2 if cfg.sequence == "Dclausen" else 1
-    for n in range(cfg.start, cfg.end + 1, step):
-        yield SequenceRecord(n, _sequence_value(cfg.sequence, cfg.method, n), cfg.method)
-
-
-def _emit_records(records: Iterable[SequenceRecord], cfg: RunConfig) -> None:
-    if cfg.fmt == "csv":
+def cmd_seq(args: argparse.Namespace) -> int:
+    sequence, method, start, end = args.sequence, args.method, args.start, args.end
+    if start < 0:
+        raise UsageError(f"--from must be nonnegative, got {start}")
+    if end < start:
+        raise UsageError(f"--to must be >= --from, got {start}..{end}")
+    if method not in _METHODS_FOR_SEQ[sequence]:
+        raise UsageError(f"method {method!r} is not available for --seq {sequence}")
+    if sequence == "Dclausen" and (start % 2 or end % 2 or start < 2):
+        raise UsageError("--seq Dclausen needs an even range starting at 2 or above")
+    if sequence == "Dpoly" and start < 1:
+        raise UsageError("--seq Dpoly needs --from >= 1")
+    if args.fmt == "csv":
         print("n,value,method")
-        for r in records:
-            print(f"{r.n},{r.value},{r.method}")
-    elif cfg.fmt == "bfile":
-        for r in records:
-            print(f"{r.n} {r.value}")
-    else:
-        for r in records:
-            print(r.value)
-
-
-def parse_bfile(text: str) -> list[SequenceRecord]:
-    """Parse OEIS b-file lines ("n value", comments starting with #)."""
-    records = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed b-file line {lineno}: {raw!r}")
-        records.append(SequenceRecord(int(parts[0]), int(parts[1]), "bfile"))
-    return records
-
-
-def cmd_seq(cfg: RunConfig) -> int:
-    _emit_records(_seq_records(cfg), cfg)
+    for n in range(start, end + 1, 2 if sequence == "Dclausen" else 1):
+        value = _sequence_value(sequence, method, n)
+        if args.fmt == "csv":
+            print(f"{n},{value},{method}")
+        elif args.fmt == "bfile":
+            print(f"{n} {value}")
+        else:
+            print(value)
     return 0
 
 
@@ -206,15 +110,20 @@ def _format_poly(denominator: int, coeffs: tuple[int, ...]) -> str:
     return joined if denominator == 1 else f"1/{denominator} * ({joined})"
 
 
-def cmd_poly(cfg: RunConfig) -> int:
-    if cfg.shifted:
-        form = powersum.faulhaber_form(cfg.n) if cfg.n else None
-        if form is None:
+def cmd_poly(args: argparse.Namespace) -> int:
+    n = args.n
+    if n < 0:
+        raise UsageError(f"--n must be nonnegative, got {n}")
+    if n == 0 and not args.shifted:
+        raise UsageError("the unshifted power sum needs --n >= 1")
+    if args.shifted:
+        if n == 0:
             print("x")
             return 0
+        form = powersum.faulhaber_form(n)
         print(_format_poly(form.denominator, form.coeffs))
         return 0
-    scale, primitive = content_split(powersum.power_sum_poly(cfg.n))
+    scale, primitive = content_split(powersum.power_sum_poly(n))
     print(
         _format_poly(
             scale.denominator,
@@ -224,8 +133,16 @@ def cmd_poly(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_witness(cfg: RunConfig) -> int:
-    n, p = cfg.n, cfg.p
+def cmd_witness(args: argparse.Namespace) -> int:
+    n, p = args.n, args.p
+    if n < 0:
+        raise UsageError(f"--n must be nonnegative, got {n}")
+    # Before the primality test, which is slow for very large p: a prime
+    # above the sharp bound never divides q_n.
+    if p > powersum.bound_M(n):
+        raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
+    if p == 2 or not padic.is_prime(p):
+        raise UsageError(f"--p must be an odd prime, got {p}")
     q = formulas.q_n_formula(n)
     if p not in q.primes:
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
@@ -276,29 +193,15 @@ def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
 
 
 def _agreement_chunk(bounds: tuple[int, int]) -> list[tuple[int, tuple[int, ...]]]:
-    lo, hi = bounds
-    out = []
-    for n in range(lo, hi):
-        out.append(
-            (
-                n,
-                (
-                    formulas.q_n_formula(n).value,
-                    formulas.q_n_epsilon(n).value(),
-                    formulas.q_n_via_psets(n).value,
-                    powersum.q_n_bruteforce(n),
-                ),
-            )
-        )
-    return out
+    return [(n, tuple(route(n) for route in Q_ROUTES.values())) for n in range(*bounds)]
 
 
-def _suite_agreement(max_n: int, workers: int = 1) -> SuiteResult:
+def _suite_agreement(max_n: int, workers: int) -> SuiteResult:
     result = SuiteResult("agreement")
     for n, values in _map_spans(_agreement_chunk, 0, max_n + 1, workers):
         result.check(
             len(set(values)) == 1,
-            f"q_{n}: formula/epsilon/psets/brute disagree: {values}",
+            f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}",
         )
     return result
 
@@ -345,14 +248,8 @@ def _suite_bounds(max_n: int) -> SuiteResult:
             f"parity of q_{n} disagrees with n+1 being a power of 2",
         )
         limit = powersum.bound_M(n)
-        t, f = q, 2
-        while f * f <= t:
-            while t % f == 0:
-                result.check(f <= limit, f"prime {f} of q_{n} exceeds the bound")
-                t //= f
-            f += 1
-        if t > 1:
-            result.check(t <= limit, f"prime {t} of q_{n} exceeds the bound")
+        for f in powersum._prime_factors(q):
+            result.check(f <= limit, f"prime {f} of q_{n} exceeds the bound")
     return result
 
 
@@ -390,19 +287,25 @@ def _suite_almkvist(max_n: int) -> SuiteResult:
     return result
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    runners = {
-        "agreement": lambda: _suite_agreement(cfg.max_n, cfg.workers),
-        "clausen": lambda: _suite_clausen(cfg.max_n),
-        "hermite": lambda: _suite_hermite(cfg.max_n),
-        "bounds": lambda: _suite_bounds(cfg.max_n),
-        "witnesses": lambda: _suite_witnesses(cfg.max_n),
-        "almkvist": lambda: _suite_almkvist(cfg.max_n),
-    }
-    names = list(runners) if cfg.suite == "all" else [cfg.suite]
+SUITES = {
+    "agreement": lambda args: _suite_agreement(args.max_n, args.workers),
+    "clausen": lambda args: _suite_clausen(args.max_n),
+    "hermite": lambda args: _suite_hermite(args.max_n),
+    "bounds": lambda args: _suite_bounds(args.max_n),
+    "witnesses": lambda args: _suite_witnesses(args.max_n),
+    "almkvist": lambda args: _suite_almkvist(args.max_n),
+}
+
+
+def cmd_verify(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    if args.max_n < 0:
+        raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
+    names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        result = runners[name]()
+        result = SUITES[name](args)
         if result.failures:
             failed = True
             print(f"{name}: FAIL ({len(result.failures)} of {result.checks} checks)")
@@ -420,25 +323,31 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def _bench_values(method: str, bounds: tuple[int, int]) -> list[int]:
-    return [_sequence_value("q", method, n) for n in range(*bounds)]
+    return [Q_ROUTES[method](n) for n in range(*bounds)]
 
 
 def _bench_run(method: str, indices: tuple[int, int], workers: int) -> list[int]:
     return _map_spans(partial(_bench_values, method), *indices, workers)
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    methods = cfg.methods or METHODS
-    if cfg.spot is not None:
-        span = (cfg.spot, cfg.spot + 1)
-        label = f"n = {cfg.spot}"
+def cmd_bench(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    if args.spot is None:
+        if args.max_n < 0:
+            raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
+        span = (0, args.max_n + 1)
+        label = f"n = 0..{args.max_n}"
     else:
-        span = (0, cfg.max_n + 1)
-        label = f"n = 0..{cfg.max_n}"
+        if args.spot < 0:
+            raise UsageError(f"--spot must be nonnegative, got {args.spot}")
+        span = (args.spot, args.spot + 1)
+        label = f"n = {args.spot}"
+    methods = args.methods or METHODS
 
     baseline = None
     for method in methods:
-        values = _bench_run(method, span, cfg.workers)
+        values = _bench_run(method, span, args.workers)
         if baseline is None:
             baseline = values
         elif values != baseline:
@@ -451,12 +360,12 @@ def cmd_bench(cfg: RunConfig) -> int:
         best = None
         for _ in range(3):
             t0 = time.perf_counter()
-            _bench_run(method, span, cfg.workers)
+            _bench_run(method, span, args.workers)
             elapsed = (time.perf_counter() - t0) * 1000
             best = elapsed if best is None else min(best, elapsed)
         timings.append((method, best))
 
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         print("method,min_ms")
         for method, ms in timings:
             print(f"{method},{ms:.3f}")
@@ -490,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("--shifted", action="store_true", help="sum up to x^n instead of (x-1)^n")
 
     verify = sub.add_parser("verify", help="run cross-checking suites")
-    verify.add_argument("--suite", choices=SUITES, default="all")
+    verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     verify.add_argument("--max-n", dest="max_n", type=int, default=50)
     verify.add_argument("--workers", type=int, default=1)
 
@@ -508,29 +417,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for name in (
-        "sequence",
-        "start",
-        "end",
-        "fmt",
-        "method",
-        "suite",
-        "max_n",
-        "workers",
-        "shifted",
-        "n",
-        "p",
-        "spot",
-    ):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            setattr(cfg, name, getattr(args, name))
-    if getattr(args, "methods", None):
-        cfg.methods = tuple(args.methods)
-    return cfg
-
-
 _COMMANDS = {
     "seq": cmd_seq,
     "poly": cmd_poly,
@@ -542,10 +428,8 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = _config_from_args(args)
     try:
-        cfg.validate()
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,8 +21,8 @@ prime bound, and per-k bounds on the prime sets) live here too.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
-``padic._digit_sum`` and build results with the unchecked
-``SquarefreeProduct._of_sorted_primes``.
+``padic._digit_sum`` and ``padic._lucas_binom_mod`` and build results with
+the unchecked ``SquarefreeProduct._of_sorted_primes``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from math import comb, isqrt
 
 from .bernoulli import SquarefreeProduct
-from .padic import _digit_sum, is_prime, lucas_binom_mod
+from .padic import _digit_sum, _lucas_binom_mod, is_prime
 from .powersum import bound_M
 
 
@@ -111,7 +111,7 @@ def q_n_epsilon(n: int) -> EpsilonVector:
             drop = m & (m - 1) == 0
         else:
             drop = (n + 2) % p != 0 and all(
-                lucas_binom_mod(m, j * (p - 1), p) == 0
+                _lucas_binom_mod(m, j * (p - 1), p) == 0
                 for j in range(2, n // (p - 1))
             )
         exponents[p] = 0 if drop else 1
@@ -138,7 +138,7 @@ def pset(m: int, k: int) -> SquarefreeProduct:
             candidates.add(d + 1)
             candidates.add(k // d + 1)
     return SquarefreeProduct._of_sorted_primes(
-        sorted(p for p in candidates if is_prime(p) and lucas_binom_mod(m, k, p) != 0)
+        sorted(p for p in candidates if is_prime(p) and _lucas_binom_mod(m, k, p) != 0)
     )
 
 

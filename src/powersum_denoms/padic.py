@@ -8,9 +8,10 @@ survives reduction mod p.
 
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage.  The
-unchecked ``_digit_sum`` is for loops whose bases are already known to be
-prime (sieve output or candidates that passed ``is_prime``), so that the
-check is paid once at the public boundary, not once per digit sum.
+unchecked ``_digit_sum`` and ``_lucas_binom_mod`` are for loops whose bases
+are already known to be prime (sieve output or candidates that passed
+``is_prime``), so that the check is paid once at the public boundary, not
+once per digit sum or residue.
 
 ``is_prime`` is the package's one primality test: trial division by the
 primes up to 41, then a deterministic Miller-Rabin test with those same
@@ -141,6 +142,12 @@ def lucas_binom_mod(m: int, k: int, p: int) -> int:
     _require_prime(p)
     if m < 0 or k < 0:
         raise ValueError(f"binomial indices must be nonnegative: m={m}, k={k}")
+    return _lucas_binom_mod(m, k, p)
+
+
+def _lucas_binom_mod(m: int, k: int, p: int) -> int:
+    # lucas_binom_mod without the checks: m, k >= 0 and p prime are the
+    # caller's to ensure.
     if k > m:
         return 0
     r = 1

@@ -89,15 +89,24 @@ def q_n_bruteforce(n: int) -> int:
     if d % (n + 1) != 0:
         raise ArithmeticError(f"d_{n} = {d} is not divisible by {n + 1}")
     q = d // (n + 1)
-    t = q
-    f = 2
-    while f * f <= t:
-        if t % f == 0:
-            t //= f
-            if t % f == 0:
-                raise ArithmeticError(f"q_{n} = {q} is not squarefree")
-        f += 1
+    factors = _prime_factors(q)
+    if len(set(factors)) != len(factors):
+        raise ArithmeticError(f"q_{n} = {q} is not squarefree")
     return q
+
+
+def _prime_factors(x: int) -> list[int]:
+    # The prime factors of x >= 1 in increasing order, with multiplicity, by
+    # trial division.
+    factors, f = [], 2
+    while f * f <= x:
+        while x % f == 0:
+            factors.append(f)
+            x //= f
+        f += 1
+    if x > 1:
+        factors.append(x)
+    return factors
 
 
 def bound_M(n: int) -> Fraction:

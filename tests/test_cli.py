@@ -1,11 +1,15 @@
+import io
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powersum_denoms.cli import _worker_spans, main, parse_bfile
+from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _worker_spans, main
 
 Q_SEQ = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
 D_SEQ = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20, 66, 24, 2730, 420, 90, 48, 510]
@@ -72,16 +76,7 @@ def test_seq_bfile_round_trip(capsys):
     assert code == 0
     lines = out.splitlines()
     assert lines[0] == "0 1"
-    records = parse_bfile(out)
-    assert [r.n for r in records] == list(range(17))
-    assert [r.value for r in records] == D_SEQ
-
-
-def test_parse_bfile_tolerates_comments():
-    records = parse_bfile("# header\n\n0 1\n1 2\n")
-    assert [(r.n, r.value) for r in records] == [(0, 1), (1, 2)]
-    with pytest.raises(ValueError, match="malformed"):
-        parse_bfile("0 1 2\n")
+    assert [tuple(map(int, line.split())) for line in lines] == list(enumerate(D_SEQ))
 
 
 def test_seq_deterministic(capsys):
@@ -270,3 +265,55 @@ def test_bench_all_methods_default(capsys):
     code, out, _ = run(capsys, "bench", "--max-n", "15")
     assert code == 0
     assert len(out.splitlines()) == 5  # banner + four methods
+
+
+# The CLI grammar, with values a little past every bound.  Integers stay
+# small and --workers below 2, so no example starts a process pool; half the
+# integers are at or below zero, where the bound checks sit.
+_INT = st.one_of(st.integers(-3, 0), st.integers(1, 25)).map(str)
+_WORKERS = st.sampled_from(("-1", "0", "1"))
+_REQUIRED = {"--to", "--n", "--p"}
+_GRAMMAR = {
+    "seq": {
+        "--seq": st.sampled_from(SEQUENCES),
+        "--from": _INT,
+        "--to": _INT,
+        "--format": st.sampled_from(("plain", "csv", "bfile")),
+        "--method": st.sampled_from(METHODS),
+    },
+    "poly": {"--n": _INT, "--shifted": None},
+    "verify": {
+        "--suite": st.sampled_from((*SUITES, "all")),
+        "--max-n": _INT,
+        "--workers": _WORKERS,
+    },
+    "witness": {"--n": _INT, "--p": _INT},
+    "bench": {
+        "--max-n": _INT,
+        "--method": st.sampled_from(METHODS),
+        "--spot": _INT,
+        "--format": st.sampled_from(("plain", "csv", "bfile")),
+        "--workers": _WORKERS,
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_GRAMMAR)))
+    argv = [command]
+    for flag, value in _GRAMMAR[command].items():
+        if flag in _REQUIRED or draw(st.booleans()):
+            argv += [flag] if value is None else [flag, draw(value)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_exits_0_1_or_2_without_a_traceback(argv):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -4,6 +4,7 @@ from math import floor, prod
 
 import pytest
 
+from powersum_denoms import formulas, padic
 from powersum_denoms.formulas import (
     hermite_bachmann_holds,
     primes_upto,
@@ -100,6 +101,28 @@ def test_routes_agree_midrange():
         assert q_n_formula(n).value == brute
         assert q_n_epsilon(n).value() == brute
         assert q_n_via_psets(n).value == brute
+
+
+def test_residue_loops_test_each_prime_once(monkeypatch):
+    # The epsilon route takes its primes from the sieve and pset tests each
+    # candidate p with p - 1 | k once, so no Lucas residue checks its base again.
+    expected = q_n_formula(300)
+    calls = []
+    real = padic.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(padic, "is_prime", counted)
+    monkeypatch.setattr(formulas, "is_prime", counted)
+    assert q_n_epsilon(300).value() == expected.value
+    assert calls == []
+    assert q_n_via_psets(300) == expected
+    candidates = sum(
+        len({d + 1 for d in range(1, k + 1) if k % d == 0}) for k in range(2, 301, 2)
+    )
+    assert len(calls) == candidates == 1222
 
 
 def test_hermite_examples():

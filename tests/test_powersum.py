@@ -1,9 +1,12 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from powersum_denoms.exact_poly import RationalPolynomial, poly_denominator
+from powersum_denoms.padic import is_prime
 from powersum_denoms.powersum import (
+    _prime_factors,
     bound_M,
     d_n,
     faulhaber_form,
@@ -108,6 +111,16 @@ def test_q_n_structural_facts():
         if n >= 1:
             assert d % 2 == 0
         assert (q % 2 == 1) == ((n + 1) & n == 0)
+
+
+def test_prime_factors():
+    assert _prime_factors(1) == []
+    assert _prime_factors(360) == [2, 2, 2, 3, 3, 5]
+    assert _prime_factors(2 * 101**2) == [2, 101, 101]
+    for x in range(1, 3000):
+        factors = _prime_factors(x)
+        assert prod(factors) == x and factors == sorted(factors)
+        assert all(is_prime(f) for f in factors)
 
 
 def test_bound_M():
