@@ -10,9 +10,10 @@ The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
 of the Seidel boustrophedon triangle give every even-index B_2k through
 B_2k = (-1)^(k-1) * 2k * A_(2k-1) / (4^k * (4^k - 1)) (Brent and Harvey,
 "Fast computation of Bernoulli, tangent and secant numbers", 2011), so the
-table needs no rational arithmetic until that last division.  Every B_n(x)
-is built once and cached; the table and the polynomials only ever grow, so
-no caller can see a stale value.
+table needs no rational arithmetic until that last division.  Each B_n(x)
+is cached once as integer numerators over their least common denominator,
+which every program path reads; ``bernoulli_poly`` is the public
+``RationalPolynomial`` view of it.  The caches only ever grow.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import accumulate
 from math import comb, isqrt, lcm, prod
 from typing import Iterable
 
-from .exact_poly import RationalPolynomial, poly_denominator
+from .exact_poly import RationalPolynomial
 from .padic import is_prime
 
 
@@ -102,20 +103,32 @@ def bernoulli_numbers(upto: int) -> BernoulliTable:
 
 
 @lru_cache(maxsize=None)
-def _shared_poly(n: int) -> RationalPolynomial:
+def _shared_poly(n: int) -> tuple[tuple[int, ...], int]:
+    # B_n(x) as (numerators, D): numerators[i] / D is the coefficient of x^i,
+    # and D is the least common denominator, so gcd(D, *numerators) == 1.
+    # The term binomial(n, k) * B_k sits at x^(n-k); it is zero for odd k >= 3.
     table = bernoulli_numbers(n)
-    return RationalPolynomial([comb(n, k) * table.number(k) for k in range(n, -1, -1)])
+    bs = [table.number(k) for k in range(n, -1, -1)]
+    terms = [Fraction(comb(n, i) * b.numerator, b.denominator) for i, b in enumerate(bs)]
+    d = lcm(*(t.denominator for t in terms))
+    return tuple(t.numerator * (d // t.denominator) for t in terms), d
+
+
+@lru_cache(maxsize=None)
+def _rational_poly(n: int) -> RationalPolynomial:
+    numerators, d = _shared_poly(n)
+    return RationalPolynomial(Fraction(c, d) for c in numerators)
 
 
 def bernoulli_poly(n: int) -> RationalPolynomial:
     """B_n(x) = sum(binomial(n, k) * B_k * x^(n-k) for k in 0..n).
 
-    Built once per n from the shared table and cached; that is safe because
-    the polynomials are immutable.
+    Built once per n from the cached scaled-integer form and cached itself;
+    that is safe because the polynomials are immutable.
     """
     if n < 0:
         raise ValueError(f"Bernoulli polynomials are indexed from 0, got {n}")
-    return _shared_poly(n)
+    return _rational_poly(n)
 
 
 def clausen_denominator(n: int) -> SquarefreeProduct:
@@ -129,7 +142,7 @@ def clausen_denominator(n: int) -> SquarefreeProduct:
     ps = set()
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
-            ps.update(p for p in (d + 1, n // d + 1) if is_prime(p))
+            ps.update(p for p in {d + 1, n // d + 1} if is_prime(p))
     return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
@@ -137,7 +150,7 @@ def bernoulli_poly_denominator_direct(n: int) -> int:
     """Denominator of B_n(x) read off its coefficients, for n >= 1."""
     if n < 1:
         raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
-    return poly_denominator(bernoulli_poly(n))
+    return _shared_poly(n)[1]
 
 
 def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
@@ -162,32 +175,23 @@ def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
     return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
-@lru_cache(maxsize=None)
-def _almkvist_terms(n: int) -> tuple[tuple[int, ...], int]:
-    # c_j = binomial(n, j) * B_j * D for j < n, with D the least common
-    # denominator of those terms: the coefficients of B_n(x) - B_n, scaled.
-    coeffs = bernoulli_poly(n).coeffs[1:]
-    d = lcm(*(c.denominator for c in coeffs))
-    return tuple(int(c * d) for c in reversed(coeffs)), d
-
-
 def almkvist_meurman_check(n: int, h: int, k: int) -> bool:
     """Whether k^n * (B_n(h/k) - B_n) is an integer.
 
     The identity holds for every n >= 0, integer h, and k >= 1.  With the
-    scaled integer terms c_j of B_n(x) - B_n over their common denominator
-    D, the value times D is sum(c_j * h^(n-j) * k^j for j < n), so the check
-    is that sum mod D, by homogeneous Horner in integers, independent of the
-    rational evaluation of B_n(x).
+    cached integer numerators c_i of B_n(x) over their common denominator D,
+    the value times D is sum(c_i * h^i * k^(n-i) for 1 <= i <= n), so the
+    check is that sum mod D, by homogeneous Horner in integers, independent
+    of the rational evaluation of B_n(x).
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"denominator must be positive, got {k}")
-    terms, d = _almkvist_terms(n)
+    numerators, d = _shared_poly(n)
     acc = 0
     k_power = 1
-    for c in terms:
+    for c in reversed(numerators[1:]):
         acc = acc * h + c * k_power
         k_power *= k
     return acc * h % d == 0

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from . import bernoulli, formulas, padic, powersum
-from .exact_poly import content_split
 
 SEQUENCES = ("d", "q", "Dclausen", "Dpoly")
 # The four routes to q_n.  Each looks its function up when it is called, so a
@@ -90,7 +89,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_poly(denominator: int, coeffs: tuple[int, ...]) -> str:
+def _format_poly(denominator: int, coeffs: list[int]) -> str:
     terms = []
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
@@ -116,20 +115,15 @@ def cmd_poly(args: argparse.Namespace) -> int:
         raise UsageError(f"--n must be nonnegative, got {n}")
     if n == 0 and not args.shifted:
         raise UsageError("the unshifted power sum needs --n >= 1")
-    if args.shifted:
-        if n == 0:
-            print("x")
-            return 0
-        form = powersum.faulhaber_form(n)
-        print(_format_poly(form.denominator, form.coeffs))
+    if n == 0:
+        print("x")
         return 0
-    scale, primitive = content_split(powersum.power_sum_poly(n))
-    print(
-        _format_poly(
-            scale.denominator,
-            tuple(int(c) * scale.numerator for c in primitive.coeffs),
-        )
-    )
+    form = powersum.faulhaber_form(n)
+    coeffs = list(form.coeffs)
+    if not args.shifted:
+        # S_n(x) = (S_n(x) + x^n) - x^n, over the same denominator d_n.
+        coeffs[n] -= form.denominator
+    print(_format_poly(form.denominator, coeffs))
     return 0
 
 

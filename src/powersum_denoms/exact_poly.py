@@ -1,10 +1,12 @@
 """Exact rational arithmetic and dense polynomials over the rationals.
 
 Rational values are ``fractions.Fraction``: arbitrary precision, always
-normalized to lowest terms with a positive denominator.  This module adds
-the polynomial layer used everywhere else: immutable dense coefficient
-vectors, denominator extraction, content/primitive splitting, and exact
-interpolation through integer or rational points.
+normalized to lowest terms with a positive denominator.  This module is the
+public polynomial type: immutable dense coefficient vectors, denominator
+extraction, content/primitive splitting, and exact interpolation through
+integer or rational points.  The program's own paths read the scaled-integer
+B_n(x) of :mod:`powersum_denoms.bernoulli` instead, so this layer is the
+independent oracle for them.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .bernoulli import SquarefreeProduct
+from .bernoulli import SquarefreeProduct, clausen_denominator
 from .padic import _digit_sum, _lucas_binom_mod, is_prime
 from .powersum import bound_M
 
@@ -132,13 +132,8 @@ def pset(m: int, k: int) -> SquarefreeProduct:
         return SquarefreeProduct._of_sorted_primes([])
     if k == 1:
         return SquarefreeProduct._of_sorted_primes([2] if m % 2 == 1 else [])
-    candidates = set()
-    for d in range(1, isqrt(k) + 1):
-        if k % d == 0:
-            candidates.add(d + 1)
-            candidates.add(k // d + 1)
     return SquarefreeProduct._of_sorted_primes(
-        sorted(p for p in candidates if is_prime(p) and _lucas_binom_mod(m, k, p) != 0)
+        [p for p in clausen_denominator(k).primes if _lucas_binom_mod(m, k, p) != 0]
     )
 
 

@@ -205,8 +205,7 @@ def marble_witness(m: int, p: int) -> MarbleWitness:
     Raises ValueError when the preconditions fail, ArithmeticError if the
     constructed witness does not verify (which would be a bug).
     """
-    _require_prime(p)
-    alpha = digits(m, p).digits
+    alpha = digits(m, p).digits  # checks that p is prime and m >= 0
     if p == 2 or m <= p or sum(alpha) < p:
         raise ValueError(
             f"witness preconditions unmet: need odd prime p, m > p, "
@@ -231,7 +230,7 @@ def marble_witness(m: int, p: int) -> MarbleWitness:
         witness.beta_digits.digit_sum() != p - 1
         or b % (p - 1) != 0
         or not 1 <= j <= (m - 1) // (p - 1)
-        or lucas_binom_mod(m, b, p) == 0
+        or _lucas_binom_mod(m, b, p) == 0
     ):
         raise ArithmeticError(f"witness construction failed for m={m}, p={p}")
     return witness

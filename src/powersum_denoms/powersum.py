@@ -3,23 +3,32 @@
 S_n(x) interpolates 1^n + 2^n + ... + (x-1)^n, so S_n(x) + x^n interpolates
 the sum up to x^n.  d_n is the least common denominator of either form (they
 agree for n >= 1), and q_n = d_n / (n+1) is the squarefree quotient that the
-product formulas in :mod:`powersum_denoms.formulas` reproduce.  Everything
-here goes through exact Bernoulli coefficients or exact interpolation; this
-module is the slow, definitional side of every cross-check.
+product formulas in :mod:`powersum_denoms.formulas` reproduce.  Both forms
+are read off the integer numerators of the cached B_{n+1}(x) over one
+denominator, with no ``Fraction`` arithmetic; ``power_sum_oracle``
+interpolates the literal sums in ``Fraction``s, the independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .bernoulli import bernoulli_poly
-from .exact_poly import (
-    RationalPolynomial,
-    content_split,
-    lagrange_interpolate,
-    poly_denominator,
-)
+from .bernoulli import _shared_poly
+from .exact_poly import RationalPolynomial, lagrange_interpolate
+
+
+def _power_sums(n: int) -> list[tuple[list[int], int]]:
+    # S_n(x) and S_n(x) + x^n for n >= 1, each as (numerators low degree
+    # first, denominator) in lowest terms: S_n = (B_{n+1}(x) - B_{n+1}) / (n+1)
+    # is the cached B_{n+1}(x) over D * (n+1) without its constant term.
+    numerators, d = _shared_poly(n + 1)
+    scale = d * (n + 1)
+    base = [0, *numerators[1:]]
+    shifted = [*base[:n], base[n] + scale, base[n + 1]]
+    gs = (gcd(scale, *base), gcd(scale, *shifted))
+    return [([c // g for c in cs], scale // g) for cs, g in zip((base, shifted), gs)]
 
 
 def power_sum_poly(n: int) -> RationalPolynomial:
@@ -30,8 +39,8 @@ def power_sum_poly(n: int) -> RationalPolynomial:
     """
     if n < 1:
         raise ValueError(f"power-sum polynomial needs n >= 1, got {n}")
-    b = bernoulli_poly(n + 1)
-    return (b - RationalPolynomial([b.coefficient(0)])) * Fraction(1, n + 1)
+    (numerators, d), _ = _power_sums(n)
+    return RationalPolynomial(Fraction(c, d) for c in numerators)
 
 
 def shifted_power_sum_poly(n: int) -> RationalPolynomial:
@@ -41,7 +50,8 @@ def shifted_power_sum_poly(n: int) -> RationalPolynomial:
     """
     if n == 0:
         return RationalPolynomial([0, 1])
-    return power_sum_poly(n) + RationalPolynomial.monomial(n)
+    _, (numerators, d) = _power_sums(n)
+    return RationalPolynomial(Fraction(c, d) for c in numerators)
 
 
 def power_sum_oracle(n: int) -> RationalPolynomial:
@@ -70,10 +80,8 @@ def d_n(n: int) -> int:
     """
     if n == 0:
         return 1
-    base = power_sum_poly(n)
-    shifted = base + RationalPolynomial.monomial(n)
-    d = poly_denominator(shifted)
-    if poly_denominator(base) != d:
+    (_, d_base), (_, d) = _power_sums(n)
+    if d_base != d:
         raise ArithmeticError(f"shifted and unshifted denominators differ at n={n}")
     return d
 
@@ -127,7 +135,8 @@ def t_n_poly(n: int) -> RationalPolynomial:
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    return RationalPolynomial(bernoulli_poly(n + 1).coeffs[1:])
+    numerators, d = _shared_poly(n + 1)
+    return RationalPolynomial(Fraction(c, d) for c in numerators[1:])
 
 
 @dataclass(frozen=True)
@@ -143,25 +152,20 @@ class FaulhaberForm:
     coeffs: tuple[int, ...]
 
     def poly(self) -> RationalPolynomial:
-        return RationalPolynomial(self.coeffs) * Fraction(1, self.denominator)
+        return RationalPolynomial(Fraction(c, self.denominator) for c in self.coeffs)
 
 
 def faulhaber_form(n: int) -> FaulhaberForm:
     """Write 1^n + ... + x^n over its least common denominator.
 
     The content of the scaled polynomial is 1 (the coefficients of the
-    power sum admit no common cancellation), so the split denominator is
-    exactly d_n; anything else raises ArithmeticError.
+    power sum admit no common cancellation), so the denominator is exactly
+    d_n; anything else raises ArithmeticError.
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    scale, primitive = content_split(shifted_power_sum_poly(n))
-    if scale.numerator != 1:
-        raise ArithmeticError(
-            f"power-sum coefficients share a factor of {scale.numerator} at n={n}"
-        )
-    return FaulhaberForm(
-        n=n,
-        denominator=scale.denominator,
-        coeffs=tuple(int(c) for c in primitive.coeffs),
-    )
+    _, (numerators, d) = _power_sums(n)
+    content = gcd(*numerators)
+    if content != 1:
+        raise ArithmeticError(f"power-sum coefficients share a factor of {content} at n={n}")
+    return FaulhaberForm(n=n, denominator=d, coeffs=tuple(numerators))

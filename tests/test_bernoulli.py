@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -219,33 +219,38 @@ def test_almkvist_meurman_matches_fraction_horner():
                 ), f"n={n}, h={h}, k={k}"
 
 
-def test_almkvist_terms_are_scaled_coefficients():
-    oracle = recurrence_oracle(60)
-    for n in range(61):
-        terms, d = bernoulli._almkvist_terms(n)
-        exact = [comb(n, j) * oracle[j] for j in range(n)]
-        assert d == lcm(*(c.denominator for c in exact))
-        assert [F(c, d) for c in terms] == exact
+def test_shared_poly_is_scaled_coefficients():
+    # The cached B_n(x) is (numerators, D) with numerators[i] / D the exact
+    # coefficient binomial(n, i) * B_(n-i) of x^i and D their least common
+    # denominator, so no factor is left to cancel.
+    oracle = recurrence_oracle(300)
+    for n in range(301):
+        numerators, d = bernoulli._shared_poly(n)
+        exact = [comb(n, i) * oracle[n - i] for i in range(n + 1)]
+        assert d == lcm(*(c.denominator for c in exact)), f"n={n}"
+        assert [F(c, d) for c in numerators] == exact, f"n={n}"
+        assert gcd(d, *numerators) == 1, f"n={n}"
+
+
+def _scaled(poly: RationalPolynomial) -> tuple[tuple[int, ...], int]:
+    d = lcm(*(c.denominator for c in poly.coeffs))
+    return tuple(int(c * d) for c in poly.coeffs), d
 
 
 def test_almkvist_meurman_perturbed_term_fails(monkeypatch):
     # Adding x/3 to B_n(x) adds h * k^(n-1) / 3 to the checked value, which is
     # not an integer unless 3 divides h or k: the check must notice, and agree
     # with rational Horner evaluation of the same perturbed polynomial.
-    exact = bernoulli.bernoulli_poly
     bump = RationalPolynomial([0, F(1, 3)])
-    monkeypatch.setattr(bernoulli, "bernoulli_poly", lambda n: exact(n) + bump)
-    bernoulli._almkvist_terms.cache_clear()
-    try:
-        outcomes = set()
-        for n in range(2, 21):
-            b = exact(n) + bump
-            for h in range(-6, 7):
-                for k in range(1, 7):
-                    ok = almkvist_meurman_check(n, h, k)
-                    assert ok == fraction_horner_check(b, n, h, k), f"n={n}, h={h}, k={k}"
-                    outcomes.add(ok)
-        assert not almkvist_meurman_check(2, 1, 1)
-        assert outcomes == {True, False}
-    finally:
-        bernoulli._almkvist_terms.cache_clear()
+    perturbed = {n: bernoulli_poly(n) + bump for n in range(2, 21)}
+    monkeypatch.setattr(bernoulli, "_shared_poly", lambda n: _scaled(perturbed[n]))
+    outcomes = set()
+    for n in range(2, 21):
+        b = perturbed[n]
+        for h in range(-6, 7):
+            for k in range(1, 7):
+                ok = almkvist_meurman_check(n, h, k)
+                assert ok == fraction_horner_check(b, n, h, k), f"n={n}, h={h}, k={k}"
+                outcomes.add(ok)
+    assert not almkvist_meurman_check(2, 1, 1)
+    assert outcomes == {True, False}

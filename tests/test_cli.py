@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _worker_spans, main
+from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _format_poly, _worker_spans, main
+from powersum_denoms.exact_poly import RationalPolynomial, content_split
+from powersum_denoms.powersum import faulhaber_form, power_sum_oracle
 
 Q_SEQ = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
 D_SEQ = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20, 66, 24, 2730, 420, 90, 48, 510]
@@ -115,6 +117,22 @@ def test_poly_rendering(capsys):
     code, out, _ = run(capsys, "poly", "--n", "2")
     assert code == 0
     assert out.strip() == "1/6 * (2x^3 - 3x^2 + x)"
+
+
+def test_faulhaber_form_and_poly_match_interpolation_oracle(capsys):
+    # Both forms over their least common denominator, taken from Lagrange
+    # interpolation of the literal sums instead of the Bernoulli cache.
+    for n in range(1, 61):
+        shifted = power_sum_oracle(n)
+        scale, primitive = content_split(shifted)
+        form = faulhaber_form(n)
+        assert scale.numerator == 1
+        assert (form.denominator, form.coeffs) == (scale.denominator, primitive.coeffs)
+        scale, primitive = content_split(shifted - RationalPolynomial.monomial(n))
+        expected = _format_poly(
+            scale.denominator, [int(c) * scale.numerator for c in primitive.coeffs]
+        )
+        assert run(capsys, "poly", "--n", str(n)) == (0, expected + "\n", ""), f"n={n}"
 
 
 def test_poly_unshifted_needs_positive_n(capsys):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powersum_denoms import padic
 from powersum_denoms.padic import (
     DigitExpansion,
     binomial_valuation,
@@ -169,6 +170,29 @@ def test_marble_witness_preconditions():
         marble_witness(3, 5)  # m <= p
     with pytest.raises(ValueError, match="witness preconditions unmet"):
         marble_witness(20, 5)  # digit sum 4 < 5
+
+
+def test_marble_witness_tests_its_base_twice(monkeypatch):
+    # Once for the digits of m and once for the digits of b; the self-check
+    # takes its residue unchecked.
+    calls = []
+    real = padic.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(padic, "is_prime", counted)
+    for p in (3, 5, 7, 11, 13):
+        for m in range(p + 1, 200):
+            if digit_sum(m, p) >= p:
+                calls.clear()
+                marble_witness(m, p)
+                assert calls == [p, p], f"m={m}, p={p}"
+    with pytest.raises(ValueError, match="not a prime base"):
+        marble_witness(21, 9)
+    with pytest.raises(ValueError, match="nonnegative"):
+        marble_witness(-1, 5)
 
 
 def test_marble_witness_soundness_sweep():

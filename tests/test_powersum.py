@@ -3,6 +3,12 @@ from math import prod
 
 import pytest
 
+import powersum_denoms
+from powersum_denoms import bernoulli, cli, exact_poly, powersum
+from powersum_denoms.bernoulli import (
+    almkvist_meurman_check,
+    bernoulli_poly_denominator_direct,
+)
 from powersum_denoms.exact_poly import RationalPolynomial, poly_denominator
 from powersum_denoms.padic import is_prime
 from powersum_denoms.powersum import (
@@ -173,3 +179,30 @@ def test_shared_table_values():
     assert d_n(12) == 2730
     assert q_n_bruteforce(12) == 210
     assert faulhaber_form(5).denominator == 12
+
+
+def test_program_paths_do_no_fraction_polynomial_arithmetic(monkeypatch, capsys):
+    # d_n, q_n, the Faulhaber form, D(B_n(x)), the Almkvist-Meurman check and
+    # the poly command all read the cached scaled-integer B_n(x); the Fraction
+    # polynomial layer is left to the oracles.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Fraction polynomial arithmetic on a program path")
+
+    for name in ("__add__", "__mul__", "eval"):
+        monkeypatch.setattr(RationalPolynomial, name, forbidden)
+    for module in (powersum_denoms, exact_poly, bernoulli, powersum, cli):
+        for name in ("content_split", "poly_denominator"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    bernoulli._shared_poly.cache_clear()
+
+    assert [d_n(n) for n in range(17)] == D_SEQ
+    assert [q_n_bruteforce(n) for n in range(21)] == Q_SEQ
+    assert faulhaber_form(4).coeffs == (0, -1, 0, 10, 15, 6)
+    assert bernoulli_poly_denominator_direct(13) == 210
+    assert almkvist_meurman_check(12, 5, 7)
+    assert cli.main(["poly", "--n", "5", "--shifted"]) == 0
+    assert cli.main(["poly", "--n", "5"]) == 0
+    assert capsys.readouterr().out == (
+        "1/12 * (2x^6 + 6x^5 + 5x^4 - x^2)\n1/12 * (2x^6 - 6x^5 + 5x^4 - x^2)\n"
+    )
