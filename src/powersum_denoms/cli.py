@@ -9,9 +9,12 @@ factor of q_n; ``bench`` times the q_n routes against each other.
 Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
 first and raises ``UsageError`` for a bad one.  ``Q_ROUTES`` is the one
 table of the four q_n routes that ``seq``, ``bench`` and the agreement
-suite share; ``SUITES`` names the verify suites.
+suite share; ``SUITES`` names the verify suites.  ``--workers`` spreads
+the agreement suite and each ``bench`` route over a process pool, which is
+imported only when a run needs one.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
+and on an index too large for the memory at hand.
 A reader that closes the output pipe early ends the run quietly with 0.
 All output except timings is deterministic; ``seq`` writes each value as
 soon as it is computed.
@@ -23,7 +26,6 @@ import argparse
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -182,8 +184,22 @@ def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
     spans = _worker_spans(lo, hi, workers)
     if len(spans) == 1:
         return fn(spans[0])
-    with ProcessPoolExecutor(max_workers=len(spans)) as pool:
+    # Read as a module attribute, so that a pool class bound on this module
+    # from outside (perfbench's tracer counts pool starts that way) is used.
+    pool_class = sys.modules[__name__].ProcessPoolExecutor
+    with pool_class(max_workers=len(spans)) as pool:
         return [row for part in pool.map(fn, spans) for row in part]
+
+
+def __getattr__(name: str):
+    # ``concurrent.futures.process`` pulls in ``multiprocessing``, about 20 ms
+    # of start-up that only a pool of two or more spans needs, so the pool
+    # class is imported on first use.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _agreement_chunk(bounds: tuple[int, int]) -> list[tuple[int, tuple[int, ...]]]:
@@ -426,6 +442,11 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        # An index too large for the tables it needs (the sieve up to
+        # sqrt(n+1) for n near 10^20, say).
+        print("error: out of memory: the index is too large", file=sys.stderr)
         return 2
     except ArithmeticError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -39,12 +39,13 @@ def primes_upto(x: int) -> list[int]:
     """All primes <= x in increasing order, by a plain Eratosthenes sieve."""
     if x < 2:
         return []
-    sieve = bytearray([1]) * (x + 1)
-    sieve[0] = sieve[1] = 0
+    # Zero-filled, so that an allocation too large fails cleanly: in CPython
+    # 3.11 a failed ``bytearray([1]) * size`` also prints a stray SystemError.
+    composite = bytearray(x + 1)
     for p in range(2, isqrt(x) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(range(p * p, x + 1, p)))
-    return [p for p in range(2, x + 1) if sieve[p]]
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, x + 1, p))
+    return [p for p in range(2, x + 1) if not composite[p]]
 
 
 def _prime_limit(n: int) -> int:

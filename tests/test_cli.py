@@ -1,14 +1,18 @@
 import io
+import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powersum_denoms import bernoulli
 from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _format_poly, _worker_spans, main
 from powersum_denoms.exact_poly import RationalPolynomial, content_split
 from powersum_denoms.powersum import faulhaber_form, power_sum_oracle
@@ -164,24 +168,107 @@ def test_witness_errors(capsys):
     assert code == 2
 
 
-def _run_module(*argv, timeout):
+def _python(*args, timeout, **kwargs):
+    """A fresh interpreter that imports the package from this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "powersum_denoms", *argv],
+        [sys.executable, *args],
         capture_output=True,
         env=dict(os.environ, PYTHONPATH=path),
         timeout=timeout,
+        **kwargs,
     )
 
 
 def test_witness_prime_beyond_bound_returns_at_once():
     # 2^89 - 1 is prime, far past the range of the Miller-Rabin bases, and far
     # above the sharp bound (n+2)/3 = 7/3 for n = 5.
-    proc = _run_module("witness", "--n", "5", "--p", str(2**89 - 1), timeout=20)
+    argv = ("witness", "--n", "5", "--p", str(2**89 - 1))
+    proc = _python("-m", "powersum_denoms", *argv, timeout=20)
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr == f"error: p is not a factor of q_n (n=5, p={2**89 - 1})\n".encode()
+
+
+def _cap_address_space():
+    # Runs in the child only: 512 MiB of address space, far below the sieve
+    # that an index near 10^20 asks for.
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, hard))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "--from", "99999999999999999999", "--to", "100000000000000000000"),
+        ("witness", "--n", "100000000000000000000", "--p", "3"),
+    ],
+)
+def test_out_of_memory_is_one_error_line(argv):
+    proc = _python("-m", "powersum_denoms", *argv, timeout=60, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: out of memory: the index is too large\n"
+
+
+def test_cli_loads_process_pool_only_when_a_pool_starts():
+    # Importing the CLI, a one-process verify and a one-index bench leave the
+    # process machinery (about 20 ms of imports) unloaded.
+    script = (
+        "import sys\n"
+        "from powersum_denoms import cli\n"
+        "names = {'multiprocessing', 'concurrent.futures.process'}\n"
+        "print(sorted(names & set(sys.modules)))\n"
+        "cli.main(['verify', '--suite', 'agreement', '--max-n', '20'])\n"
+        "cli.main(['bench', '--spot', '50', '--method', 'formula', '--workers', '2'])\n"
+        "print(sorted(names & set(sys.modules)))\n"
+        "print(cli.ProcessPoolExecutor.__module__)\n"
+    )
+    proc = _python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert lines[0] == lines[-2] == "[]"
+    assert lines[-1] == "concurrent.futures.process"
+
+
+# perfbench's span tracer wraps ``BernoulliTable.extend_to`` and the
+# ``RationalPolynomial`` methods ``eval``, ``__mul__`` and ``__add__``, reads
+# ``bernoulli._shared_poly.cache_info`` and rebinds ``cli.ProcessPoolExecutor``
+# to count pool starts.  Renaming or dropping one breaks traced benchmark runs.
+_TRACER = str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ("verify", "--suite", "agreement", "--max-n", "5", "--workers", "2"),
+            b"agreement: PASS (6 checks)\n",
+        ),
+        (("seq", "--seq", "q", "--to", "5"), b"1\n1\n2\n1\n6\n2\n"),
+        (("poly", "--n", "4", "--shifted"), b"1/30 * (6x^5 + 15x^4 + 10x^3 - x)\n"),
+    ],
+    ids=("verify", "seq", "poly"),
+)
+def test_tracer_runs_the_cli(tmp_path, argv, expected):
+    proc = _python(_TRACER, "--spans", str(tmp_path / "s"), *argv, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, b"")
+
+
+def test_tracer_counts_the_pool_it_rebinds(tmp_path):
+    # Six indices over two workers make two spans, so one pool starts when
+    # there are two CPUs or more.
+    argv = ("verify", "--suite", "agreement", "--max-n", "5", "--workers", "2")
+    proc = _python(_TRACER, "--spans", str(tmp_path / "s"), *argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    counters = json.loads((tmp_path / "s.json").read_text())["counters"]
+    assert counters.get("cli.pool_starts", 0) == (1 if (os.cpu_count() or 1) > 1 else 0)
+
+
+def test_tracer_reads_the_bernoulli_cache_statistics():
+    # The tracer skips its cache-hit counter quietly when the cache is gone.
+    assert callable(bernoulli._shared_poly.cache_info)
 
 
 def test_worker_spans_are_capped(monkeypatch):
@@ -286,10 +373,11 @@ def test_bench_all_methods_default(capsys):
 
 
 # The CLI grammar, with values a little past every bound.  Integers stay
-# small and --workers below 2, so no example starts a process pool; half the
-# integers are at or below zero, where the bound checks sit.
+# small; half of them are at or below zero, where the bound checks sit.  A
+# huge --workers must start no more processes than there are CPUs, and the
+# test holds the CPU count at 2.
 _INT = st.one_of(st.integers(-3, 0), st.integers(1, 25)).map(str)
-_WORKERS = st.sampled_from(("-1", "0", "1"))
+_WORKERS = st.sampled_from(("-1", "0", "1", "2", "1000000"))
 _REQUIRED = {"--to", "--n", "--p"}
 _GRAMMAR = {
     "seq": {
@@ -329,7 +417,11 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_argv())
 def test_cli_exits_0_1_or_2_without_a_traceback(argv):
-    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+    with (
+        mock.patch.object(os, "cpu_count", lambda: 2),
+        redirect_stdout(io.StringIO()),
+        redirect_stderr(io.StringIO()),
+    ):
         try:
             code = main(argv)
         except SystemExit as exc:
