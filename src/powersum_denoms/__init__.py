@@ -7,102 +7,82 @@ explicit bound.  This package computes d_n and q_n four independent ways
 does the same for the denominators of Bernoulli polynomials, and ships a
 CLI for sequences, pretty-printed polynomials, cross-check suites, and
 benchmarks.
+
+The names below are re-exported lazily (PEP 562): ``import powersum_denoms``
+loads no submodule, and the first use of a name imports the module that
+defines it, so a program pays only for the layers it touches.
 """
 
-from .bernoulli import (
-    BernoulliTable,
-    SquarefreeProduct,
-    almkvist_meurman_check,
-    bernoulli_numbers,
-    bernoulli_poly,
-    bernoulli_poly_denominator_direct,
-    bernoulli_poly_denominator_formula,
-    clausen_denominator,
-)
-from .exact_poly import (
-    Rational,
-    RationalPolynomial,
-    content_split,
-    denom,
-    lagrange_interpolate,
-    poly_denominator,
-)
-from .formulas import (
-    EpsilonVector,
-    hermite_bachmann_holds,
-    primes_upto,
-    pset,
-    pset_bound_check,
-    q_n_epsilon,
-    q_n_formula,
-    q_n_via_psets,
-    sharpness_witnesses,
-)
-from .padic import (
-    DigitExpansion,
-    MarbleWitness,
-    binomial_valuation,
-    digit_sum,
-    digits,
-    fine_count,
-    legendre_valuation_factorial,
-    lucas_binom_mod,
-    marble_witness,
-)
-from .powersum import (
-    FaulhaberForm,
-    bound_M,
-    d_n,
-    faulhaber_form,
-    power_sum_oracle,
-    power_sum_poly,
-    q_n_bruteforce,
-    shifted_power_sum_poly,
-    t_n_poly,
-)
+from importlib import import_module
 
-__all__ = [
-    "BernoulliTable",
-    "DigitExpansion",
-    "EpsilonVector",
-    "FaulhaberForm",
-    "MarbleWitness",
-    "Rational",
-    "RationalPolynomial",
-    "SquarefreeProduct",
-    "almkvist_meurman_check",
-    "bernoulli_numbers",
-    "bernoulli_poly",
-    "bernoulli_poly_denominator_direct",
-    "bernoulli_poly_denominator_formula",
-    "binomial_valuation",
-    "bound_M",
-    "clausen_denominator",
-    "content_split",
-    "d_n",
-    "denom",
-    "digit_sum",
-    "digits",
-    "faulhaber_form",
-    "fine_count",
-    "hermite_bachmann_holds",
-    "lagrange_interpolate",
-    "legendre_valuation_factorial",
-    "lucas_binom_mod",
-    "marble_witness",
-    "poly_denominator",
-    "power_sum_oracle",
-    "power_sum_poly",
-    "primes_upto",
-    "pset",
-    "pset_bound_check",
-    "q_n_bruteforce",
-    "q_n_epsilon",
-    "q_n_formula",
-    "q_n_via_psets",
-    "sharpness_witnesses",
-    "shifted_power_sum_poly",
-    "t_n_poly",
-]
+_EXPORTS = {
+    "bernoulli": (
+        "BernoulliTable",
+        "almkvist_meurman_check",
+        "bernoulli_numbers",
+        "bernoulli_poly",
+        "bernoulli_poly_denominator_direct",
+        "bernoulli_poly_denominator_formula",
+    ),
+    "exact_poly": (
+        "Rational",
+        "RationalPolynomial",
+        "content_split",
+        "denom",
+        "lagrange_interpolate",
+        "poly_denominator",
+    ),
+    "formulas": (
+        "EpsilonVector",
+        "SquarefreeProduct",
+        "clausen_denominator",
+        "hermite_bachmann_holds",
+        "primes_upto",
+        "pset",
+        "pset_bound_check",
+        "q_n_epsilon",
+        "q_n_formula",
+        "q_n_via_psets",
+        "sharpness_witnesses",
+    ),
+    "padic": (
+        "DigitExpansion",
+        "MarbleWitness",
+        "binomial_valuation",
+        "digit_sum",
+        "digits",
+        "fine_count",
+        "legendre_valuation_factorial",
+        "lucas_binom_mod",
+        "marble_witness",
+    ),
+    "powersum": (
+        "FaulhaberForm",
+        "bound_M",
+        "d_n",
+        "faulhaber_form",
+        "power_sum_oracle",
+        "power_sum_poly",
+        "q_n_bruteforce",
+        "shifted_power_sum_poly",
+        "t_n_poly",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

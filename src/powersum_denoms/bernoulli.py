@@ -1,10 +1,13 @@
 """Bernoulli numbers and polynomials, exactly.
 
 Provides the shared table of Bernoulli numbers (first kind, B_1 = -1/2),
-Bernoulli polynomials as exact rational polynomials, the von Staudt-Clausen
-denominator, and two independent routes to the denominator of B_n(x): direct
-coefficient inspection and a squarefree product over digit-sum criteria.
-The integrality check k^n * (B_n(h/k) - B_n) rounds out the module.
+Bernoulli polynomials as exact rational polynomials, and two independent
+routes to the denominator of B_n(x): direct coefficient inspection and a
+squarefree product over digit-sum criteria.  The integrality check
+k^n * (B_n(h/k) - B_n) rounds out the module.  The von Staudt-Clausen
+denominator ``clausen_denominator``, the ``SquarefreeProduct`` result type
+and the digit-sum search come from ``formulas``, which imports nothing from
+here, and are re-exported under their old names.
 
 The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
 of the Seidel boustrophedon triangle give every even-index B_2k through
@@ -18,36 +21,13 @@ which every program path reads; ``bernoulli_poly`` is the public
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, isqrt, lcm, prod
-from typing import Iterable
+from math import comb, lcm
 
 from .exact_poly import RationalPolynomial
-from .padic import is_prime
-
-
-@dataclass(frozen=True)
-class SquarefreeProduct:
-    """A product of distinct primes, carried with its sorted factor tuple."""
-
-    primes: tuple[int, ...]
-    value: int
-
-    @classmethod
-    def of(cls, primes: Iterable[int]) -> "SquarefreeProduct":
-        ps = sorted(set(primes))
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"not a prime factor: {p}")
-        return cls._of_sorted_primes(ps)
-
-    @classmethod
-    def _of_sorted_primes(cls, primes: list[int]) -> "SquarefreeProduct":
-        # Unchecked: the caller guarantees distinct primes in increasing order.
-        return cls(primes=tuple(primes), value=prod(primes))
+from .formulas import SquarefreeProduct, _digit_sum_primes, clausen_denominator
 
 
 class BernoulliTable:
@@ -131,21 +111,6 @@ def bernoulli_poly(n: int) -> RationalPolynomial:
     return _rational_poly(n)
 
 
-def clausen_denominator(n: int) -> SquarefreeProduct:
-    """Denominator of the Bernoulli number B_n for positive even n.
-
-    By von Staudt-Clausen this is the product of the primes p with p - 1
-    dividing n; it always contains 2 and 3.
-    """
-    if n <= 0 or n % 2 != 0:
-        raise ValueError(f"von Staudt-Clausen applies to positive even n, got {n}")
-    ps = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            ps.update(p for p in {d + 1, n // d + 1} if is_prime(p))
-    return SquarefreeProduct._of_sorted_primes(sorted(ps))
-
-
 def bernoulli_poly_denominator_direct(n: int) -> int:
     """Denominator of B_n(x) read off its coefficients, for n >= 1."""
     if n < 1:
@@ -162,9 +127,6 @@ def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
     least p.  n = 1 gives the bare factor 2.  The digit-sum primes come from
     the same O(sqrt(n)) search as q_n_formula's.
     """
-    # formulas imports this module for SquarefreeProduct, so import back late.
-    from .formulas import _digit_sum_primes
-
     if n < 1:
         raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
     if n == 1:

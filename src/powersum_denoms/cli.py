@@ -10,8 +10,15 @@ Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
 first and raises ``UsageError`` for a bad one.  ``Q_ROUTES`` is the one
 table of the four q_n routes that ``seq``, ``bench`` and the agreement
 suite share; ``SUITES`` names the verify suites.  ``--workers`` spreads
-the agreement suite and each ``bench`` route over a process pool, which is
-imported only when a run needs one.
+the agreement suite and each ``bench`` route over a process pool.
+
+A run imports only what its command uses.  The module itself loads
+``formulas`` and ``padic``, enough for the three digit-based q_n routes,
+``seq --seq q``/``d`` and ``Dclausen``, and ``witness``.  ``bernoulli`` and
+``powersum``, and with them ``fractions`` and the polynomial layer, are
+imported inside the paths that need them: the brute route, ``Dpoly``,
+``poly`` and the verify suites.  The process pool is imported only when a
+pool of two or more spans starts.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and on an index too large for the memory at hand.
@@ -26,19 +33,26 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 from functools import partial
 
-from . import bernoulli, formulas, padic, powersum
+from . import formulas, padic
 
 SEQUENCES = ("d", "q", "Dclausen", "Dpoly")
+
+
+def _q_brute(n: int) -> int:
+    from . import powersum
+
+    return powersum.q_n_bruteforce(n)
+
+
 # The four routes to q_n.  Each looks its function up when it is called, so a
 # module attribute rebound after import (a tracing wrapper, say) is used.
 Q_ROUTES = {
     "formula": lambda n: formulas.q_n_formula(n).value,
     "epsilon": lambda n: formulas.q_n_epsilon(n).value(),
     "psets": lambda n: formulas.q_n_via_psets(n).value,
-    "brute": lambda n: powersum.q_n_bruteforce(n),
+    "brute": _q_brute,
 }
 METHODS = tuple(Q_ROUTES)
 
@@ -58,9 +72,15 @@ def _sequence_value(sequence: str, method: str, n: int) -> int:
     if sequence == "q":
         return Q_ROUTES[method](n)
     if sequence == "d":
-        return powersum.d_n(n) if method == "brute" else (n + 1) * Q_ROUTES[method](n)
+        if method != "brute":
+            return (n + 1) * Q_ROUTES[method](n)
+        from . import powersum
+
+        return powersum.d_n(n)
     if sequence == "Dclausen":
-        return bernoulli.clausen_denominator(n).value
+        return formulas.clausen_denominator(n).value
+    from . import bernoulli
+
     if method == "brute":
         return bernoulli.bernoulli_poly_denominator_direct(n)
     return bernoulli.bernoulli_poly_denominator_formula(n).value
@@ -120,6 +140,8 @@ def cmd_poly(args: argparse.Namespace) -> int:
     if n == 0:
         print("x")
         return 0
+    from . import powersum
+
     form = powersum.faulhaber_form(n)
     coeffs = list(form.coeffs)
     if not args.shifted:
@@ -133,13 +155,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
     n, p = args.n, args.p
     if n < 0:
         raise UsageError(f"--n must be nonnegative, got {n}")
-    # Before the primality test, which is slow for very large p: a prime
-    # above the sharp bound never divides q_n.
-    if p > powersum.bound_M(n):
+    # A prime above the sharp bound never divides q_n.  Below it, p is tested
+    # for primality only when it is not one of q_n's primes: that test falls
+    # back to trial division for p near 10^25, while an n that large ends at
+    # once with an out-of-memory error from q_n's sieve.
+    if p > formulas._prime_limit(n):
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
-    if p == 2 or not padic.is_prime(p):
-        raise UsageError(f"--p must be an odd prime, got {p}")
     q = formulas.q_n_formula(n)
+    if p == 2 or (p not in q.primes and not padic.is_prime(p)):
+        raise UsageError(f"--p must be an odd prime, got {p}")
     if p not in q.primes:
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
     w = padic.marble_witness(n + 1, p)
@@ -156,11 +180,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # verify suites
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.checks, self.failures = 0, []
 
     def check(self, ok: bool, message: str) -> None:
         self.checks += 1
@@ -207,7 +229,7 @@ def _agreement_chunk(bounds: tuple[int, int]) -> list[tuple[int, tuple[int, ...]
 
 
 def _suite_agreement(max_n: int, workers: int) -> SuiteResult:
-    result = SuiteResult("agreement")
+    result = SuiteResult()
     for n, values in _map_spans(_agreement_chunk, 0, max_n + 1, workers):
         result.check(
             len(set(values)) == 1,
@@ -217,10 +239,12 @@ def _suite_agreement(max_n: int, workers: int) -> SuiteResult:
 
 
 def _suite_clausen(max_n: int) -> SuiteResult:
-    result = SuiteResult("clausen")
+    from . import bernoulli
+
+    result = SuiteResult()
     table = bernoulli.bernoulli_numbers(max_n)
     for n in range(2, max_n + 1, 2):
-        expected = bernoulli.clausen_denominator(n).value
+        expected = formulas.clausen_denominator(n).value
         actual = table.number(n).denominator
         result.check(
             actual == expected, f"denominator of B_{n}: {actual} != {expected}"
@@ -229,18 +253,20 @@ def _suite_clausen(max_n: int) -> SuiteResult:
 
 
 def _suite_hermite(max_n: int) -> SuiteResult:
-    result = SuiteResult("hermite")
+    result = SuiteResult()
     for p in formulas.primes_upto(50):
         for m in range(1, max_n + 1):
             result.check(
-                formulas.hermite_bachmann_holds(m, p),
+                formulas._hermite_bachmann_holds(m, p),
                 f"binomial sum congruence fails at m={m}, p={p}",
             )
     return result
 
 
 def _suite_bounds(max_n: int) -> SuiteResult:
-    result = SuiteResult("bounds")
+    from . import powersum
+
+    result = SuiteResult()
     for m in range(3, max_n + 1):
         top = m - 1 if m % 2 == 1 else m - 2
         for k in range(2, top + 1, 2):
@@ -264,7 +290,7 @@ def _suite_bounds(max_n: int) -> SuiteResult:
 
 
 def _suite_witnesses(max_n: int) -> SuiteResult:
-    result = SuiteResult("witnesses")
+    result = SuiteResult()
     for n in range(max_n + 1):
         for p in formulas.q_n_formula(n).primes:
             if p == 2:
@@ -286,7 +312,9 @@ def _suite_witnesses(max_n: int) -> SuiteResult:
 
 
 def _suite_almkvist(max_n: int) -> SuiteResult:
-    result = SuiteResult("almkvist")
+    from . import bernoulli
+
+    result = SuiteResult()
     for n in range(max_n + 1):
         for h in range(-10, 11):
             for k in range(1, 11):

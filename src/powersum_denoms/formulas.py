@@ -19,6 +19,12 @@ primality test (Kellner, "On a product of certain primes", J. Number Theory,
 2017).  Supporting checks (a binomial-sum congruence, the sharpness of the
 prime bound, and per-k bounds on the prime sets) live here too.
 
+The squarefree result type ``SquarefreeProduct`` and the von Staudt-Clausen
+denominator ``clausen_denominator`` (the prime sets are built on it) live
+here as well, so this module needs nothing from the package but ``padic``:
+the q_n formulas load no Bernoulli or polynomial code.  ``bernoulli``
+imports them from here.
+
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
 ``padic._digit_sum`` and ``padic._lucas_binom_mod`` and build results with
@@ -27,12 +33,32 @@ the unchecked ``SquarefreeProduct._of_sorted_primes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import comb, isqrt
+from collections.abc import Iterable
+from math import comb, isqrt, prod
 
-from .bernoulli import SquarefreeProduct, clausen_denominator
+from ._record import Record
 from .padic import _digit_sum, _lucas_binom_mod, is_prime
-from .powersum import bound_M
+
+
+class SquarefreeProduct(Record):
+    """A product of distinct primes, carried with its sorted factor tuple."""
+
+    __slots__ = ("primes", "value")
+    primes: tuple[int, ...]
+    value: int
+
+    @classmethod
+    def of(cls, primes: Iterable[int]) -> SquarefreeProduct:
+        ps = sorted(set(primes))
+        for p in ps:
+            if not is_prime(p):
+                raise ValueError(f"not a prime factor: {p}")
+        return cls._of_sorted_primes(ps)
+
+    @classmethod
+    def _of_sorted_primes(cls, primes: list[int]) -> SquarefreeProduct:
+        # Unchecked: the caller guarantees distinct primes in increasing order.
+        return cls(tuple(primes), prod(primes))
 
 
 def primes_upto(x: int) -> list[int]:
@@ -80,10 +106,10 @@ def q_n_formula(n: int) -> SquarefreeProduct:
     return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n + 1, _prime_limit(n)))
 
 
-@dataclass(frozen=True)
-class EpsilonVector:
+class EpsilonVector(Record):
     """Exponent (0 or 1) of each prime within the sharp bound, for one n."""
 
+    __slots__ = ("n", "exponents")
     n: int
     exponents: dict[int, int]
 
@@ -117,6 +143,21 @@ def q_n_epsilon(n: int) -> EpsilonVector:
             )
         exponents[p] = 0 if drop else 1
     return EpsilonVector(n=n, exponents=exponents)
+
+
+def clausen_denominator(n: int) -> SquarefreeProduct:
+    """Denominator of the Bernoulli number B_n for positive even n.
+
+    By von Staudt-Clausen this is the product of the primes p with p - 1
+    dividing n; it always contains 2 and 3.
+    """
+    if n <= 0 or n % 2 != 0:
+        raise ValueError(f"von Staudt-Clausen applies to positive even n, got {n}")
+    ps = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            ps.update(p for p in {d + 1, n // d + 1} if is_prime(p))
+    return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
 def pset(m: int, k: int) -> SquarefreeProduct:
@@ -164,6 +205,12 @@ def hermite_bachmann_holds(m: int, p: int) -> bool:
         raise ValueError(f"not a prime base: {p}")
     if m < 1:
         raise ValueError(f"index must be positive, got {m}")
+    return _hermite_bachmann_holds(m, p)
+
+
+def _hermite_bachmann_holds(m: int, p: int) -> bool:
+    # hermite_bachmann_holds without the checks: m >= 1 and p prime are the
+    # caller's to ensure.
     total = sum(comb(m, j * (p - 1)) for j in range(1, (m - 1) // (p - 1) + 1))
     return total % p == 0
 
@@ -179,7 +226,8 @@ def sharpness_witnesses(p: int) -> tuple[int, int]:
         raise ValueError(f"sharpness witnesses need an odd prime, got {p}")
     pair = (2 * p - 2, 3 * p - 2)
     for n in pair:
-        if bound_M(n) != p or p not in q_n_formula(n).primes:
+        # The sharp bound (n+2)/2 or (n+2)/3 equals p.
+        if n + 2 != p * (2 if n % 2 == 0 else 3) or p not in q_n_formula(n).primes:
             raise ArithmeticError(f"sharpness witness failed at n={n}, p={p}")
     return pair
 

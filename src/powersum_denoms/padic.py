@@ -21,8 +21,9 @@ to trial division.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+
+from ._record import Record
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -69,14 +70,14 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"not a prime base: {p}")
 
 
-@dataclass(frozen=True)
-class DigitExpansion:
+class DigitExpansion(Record):
     """Little-endian base-p digits of a nonnegative integer.
 
     Canonical form: no trailing zero digits, so zero has an empty tuple and
     the most significant digit of anything else is nonzero.
     """
 
+    __slots__ = ("p", "digits")
     p: int
     digits: tuple[int, ...]
 
@@ -175,14 +176,14 @@ def fine_count(m: int, p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class MarbleWitness:
+class MarbleWitness(Record):
     """A multiple b = j*(p-1) of p - 1 with binomial(m, b) nonzero mod p.
 
     The digits of b have sum exactly p - 1 and sit digit-wise below the
     digits of m, which is what makes the binomial coefficient survive.
     """
 
+    __slots__ = ("p", "m", "j", "b", "beta_digits")
     p: int
     m: int
     j: int

@@ -11,10 +11,10 @@ interpolates the literal sums in ``Fraction``s, the independent check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from ._record import Record
 from .bernoulli import _shared_poly
 from .exact_poly import RationalPolynomial, lagrange_interpolate
 
@@ -139,14 +139,14 @@ def t_n_poly(n: int) -> RationalPolynomial:
     return RationalPolynomial(Fraction(c, d) for c in numerators[1:])
 
 
-@dataclass(frozen=True)
-class FaulhaberForm:
+class FaulhaberForm(Record):
     """1^n + ... + x^n written as (1/denominator) * integer polynomial.
 
     ``coeffs[i]`` is the integer coefficient of x^i; the gcd of the nonzero
     coefficients is 1, which makes the form unique.
     """
 
+    __slots__ = ("n", "denominator", "coeffs")
     n: int
     denominator: int
     coeffs: tuple[int, ...]

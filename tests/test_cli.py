@@ -12,8 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersum_denoms import bernoulli
-from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _format_poly, _worker_spans, main
+from powersum_denoms import bernoulli, formulas, padic
+from powersum_denoms.cli import (
+    METHODS,
+    SEQUENCES,
+    SUITES,
+    _format_poly,
+    _suite_hermite,
+    _worker_spans,
+    main,
+)
 from powersum_denoms.exact_poly import RationalPolynomial, content_split
 from powersum_denoms.powersum import faulhaber_form, power_sum_oracle
 
@@ -210,6 +218,63 @@ def test_out_of_memory_is_one_error_line(argv):
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr == b"error: out of memory: the index is too large\n"
+
+
+def test_hermite_suite_tests_no_prime_again(monkeypatch):
+    # The suite's bases are sieve primes, so it takes the unchecked congruence.
+    calls = []
+    real = padic.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(padic, "is_prime", counted)
+    monkeypatch.setattr(formulas, "is_prime", counted)
+    result = _suite_hermite(60)
+    assert result.checks == 15 * 60 and result.failures == []
+    assert calls == []
+
+
+def test_witness_near_the_miller_rabin_bound_ends_at_once():
+    # p is a prime just above psi_13 and within the sharp bound, where is_prime
+    # falls back to trial division up to sqrt(p).  q_n comes first, so its
+    # sieve, far beyond the capped address space, ends the run instead.
+    argv = ("witness", "--n", str(10**25), "--p", "3317044064679887385962123")
+    proc = _python("-m", "powersum_denoms", *argv, timeout=20, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == b"error: out of memory: the index is too large\n"
+
+
+def test_commands_load_only_the_layers_they_use():
+    # The package import loads no submodule.  The digit-based q_n routes and
+    # Dclausen need neither the Bernoulli and power-sum layers nor the
+    # polynomial code and fractions behind them; poly needs all of them.  No
+    # run loads dataclasses.
+    script = (
+        "import sys\n"
+        "import powersum_denoms\n"
+        "heavy = {'fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.powersum',\n"
+        "         'powersum_denoms.exact_poly'}\n"
+        "def report(names):\n"
+        "    print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
+        "report({m for m in sys.modules if m.startswith('powersum_denoms.')} | {'dataclasses'})\n"
+        "from powersum_denoms import cli\n"
+        "cli.main(['seq', '--seq', 'q', '--to', '5'])\n"
+        "cli.main(['seq', '--seq', 'Dclausen', '--from', '2', '--to', '10'])\n"
+        "report(heavy | {'dataclasses'})\n"
+        "cli.main(['poly', '--n', '4'])\n"
+        "report(heavy | {'dataclasses'})\n"
+    )
+    proc = _python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().splitlines() == [
+        "[]",
+        "[]",
+        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.exact_poly', "
+        "'powersum_denoms.powersum']",
+    ]
 
 
 def test_cli_loads_process_pool_only_when_a_pool_starts():

@@ -4,7 +4,7 @@ from math import floor, prod
 
 import pytest
 
-from powersum_denoms import bernoulli, formulas, padic
+from powersum_denoms import formulas, padic
 from powersum_denoms.formulas import (
     hermite_bachmann_holds,
     primes_upto,
@@ -106,7 +106,8 @@ def test_routes_agree_midrange():
 def test_residue_loops_test_each_prime_once(monkeypatch):
     # The epsilon route takes its primes from the sieve and pset takes the
     # von Staudt-Clausen primes of k, which test each candidate p with p - 1 | k
-    # once, so no Lucas residue checks its base again.
+    # once, so no Lucas residue checks its base again.  clausen_denominator
+    # lives in formulas, so patching padic and formulas covers every test.
     expected = q_n_formula(300)
     calls = []
     real = padic.is_prime
@@ -117,7 +118,6 @@ def test_residue_loops_test_each_prime_once(monkeypatch):
 
     monkeypatch.setattr(padic, "is_prime", counted)
     monkeypatch.setattr(formulas, "is_prime", counted)
-    monkeypatch.setattr(bernoulli, "is_prime", counted)
     assert q_n_epsilon(300).value() == expected.value
     assert calls == []
     assert q_n_via_psets(300) == expected
