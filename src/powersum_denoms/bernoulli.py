@@ -7,7 +7,7 @@ squarefree product over digit-sum criteria.  The integrality check
 k^n * (B_n(h/k) - B_n) rounds out the module.  The von Staudt-Clausen
 denominator ``clausen_denominator``, the ``SquarefreeProduct`` result type
 and the digit-sum search come from ``formulas``, which imports nothing from
-here, and are re-exported under their old names.
+here; the first two can still be imported from this module.
 
 The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
 of the Seidel boustrophedon triangle give every even-index B_2k through
