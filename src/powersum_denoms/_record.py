@@ -1,10 +1,10 @@
 """The base of the package's small immutable result records.
 
-A record lists its fields in ``__slots__`` and behaves like a frozen
-dataclass: keyword or positional construction, a ``Name(field=value, ...)``
-repr, equality by type and fields, a hash of the fields, and
-``AttributeError`` on assignment.  ``dataclasses`` would give the same, but
-importing it, and ``inspect`` behind it, takes longer than loading the
+A record lists its fields in ``__slots__``: keyword or positional
+construction, a ``Name(field=value, ...)`` repr, equality by type and
+fields, a hash of the fields, and ``AttributeError`` on assignment.  The
+standard library's frozen data classes would give the same, but importing
+that module, and ``inspect`` behind it, takes longer than loading the
 ``padic`` and ``formulas`` modules that a ``seq --seq q`` run needs.
 """
 
