@@ -9,16 +9,17 @@ factor of q_n; ``bench`` times the q_n routes against each other.
 Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
 first and raises ``UsageError`` for a bad one.  ``Q_ROUTES`` is the one
 table of the four q_n routes that ``seq``, ``bench`` and the agreement
-suite share; ``SUITES`` names the verify suites.  ``--workers`` spreads
-the agreement suite and each ``bench`` route over a process pool.
+suite share; ``SUITES`` names the verify suites.  ``verify --workers``
+deals the agreement suite's indices round-robin over a process pool, the
+one place a pool starts; ``bench`` times each route in the calling process.
 
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
 ``seq --seq q``/``d`` and ``Dclausen``, and ``witness``.  ``bernoulli`` and
 ``powersum``, and with them ``fractions`` and the polynomial layer, are
 imported inside the paths that need them: the brute route, ``Dpoly``,
-``poly`` and the verify suites.  The process pool is imported only when a
-pool of two or more spans starts.
+``poly`` and the verify suites.  The process pool is imported only when the
+agreement suite starts a pool of two or more processes.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and on an index too large for the memory at hand.
@@ -33,7 +34,6 @@ import argparse
 import os
 import sys
 import time
-from functools import partial
 
 from . import formulas, padic
 
@@ -190,33 +190,18 @@ class SuiteResult:
             self.failures.append(message)
 
 
-def _worker_spans(lo: int, hi: int, workers: int) -> list[tuple[int, int]]:
-    """[lo, hi) cut into equal spans, one per process: at most --workers, the
-    number of indices, or the CPU count, whichever is least."""
-    count = min(workers, hi - lo, os.cpu_count() or 1)
-    if count <= 1:
-        return [(lo, hi)]
-    chunk = -(-(hi - lo) // count)
-    return [(a, min(a + chunk, hi)) for a in range(lo, hi, chunk)]
-
-
-def _map_spans(fn, lo: int, hi: int, workers: int) -> list:
-    """fn over the spans of [lo, hi), in a process pool when there is more
-    than one span; the per-span lists are joined in order."""
-    spans = _worker_spans(lo, hi, workers)
-    if len(spans) == 1:
-        return fn(spans[0])
-    # Read as a module attribute, so that a pool class bound on this module
-    # from outside (perfbench's tracer counts pool starts that way) is used.
-    pool_class = sys.modules[__name__].ProcessPoolExecutor
-    with pool_class(max_workers=len(spans)) as pool:
-        return [row for part in pool.map(fn, spans) for row in part]
+def _strides(max_n: int, workers: int) -> list[range]:
+    """0..max_n dealt round-robin into one stride per process: at most
+    --workers, the number of indices, or the CPU count, whichever is least.
+    The routes cost more as n grows, so each stride gets an even share."""
+    count = min(workers, max_n + 1, os.cpu_count() or 1)
+    return [range(i, max_n + 1, count) for i in range(count)]
 
 
 def __getattr__(name: str):
     # ``concurrent.futures.process`` pulls in ``multiprocessing``, about 20 ms
-    # of start-up that only a pool of two or more spans needs, so the pool
-    # class is imported on first use.
+    # of start-up that only a pool of two or more processes needs, so the
+    # pool class is imported on first use.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -224,13 +209,25 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _agreement_chunk(bounds: tuple[int, int]) -> list[tuple[int, tuple[int, ...]]]:
-    return [(n, tuple(route(n) for route in Q_ROUTES.values())) for n in range(*bounds)]
+def _agreement_rows(indices: range) -> list[tuple[int, tuple[int, ...]]]:
+    return [(n, tuple(route(n) for route in Q_ROUTES.values())) for n in indices]
 
 
 def _suite_agreement(max_n: int, workers: int) -> SuiteResult:
+    strides = _strides(max_n, workers)
+    if len(strides) == 1:
+        rows = _agreement_rows(strides[0])
+    else:
+        # Read as a module attribute, so that a pool class bound on this
+        # module from outside (perfbench's tracer counts pool starts that
+        # way) is used.
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=len(strides)) as pool:
+            parts = list(pool.map(_agreement_rows, strides))
+        # The rows come back stride by stride; the report is in index order.
+        rows = sorted(row for part in parts for row in part)
     result = SuiteResult()
-    for n, values in _map_spans(_agreement_chunk, 0, max_n + 1, workers):
+    for n, values in rows:
         result.check(
             len(set(values)) == 1,
             f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}",
@@ -360,48 +357,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # bench
 
 
-def _bench_values(method: str, bounds: tuple[int, int]) -> list[int]:
-    return [Q_ROUTES[method](n) for n in range(*bounds)]
-
-
-def _bench_run(method: str, indices: tuple[int, int], workers: int) -> list[int]:
-    return _map_spans(partial(_bench_values, method), *indices, workers)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
     if args.spot is None:
         if args.max_n < 0:
             raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
-        span = (0, args.max_n + 1)
+        indices = range(args.max_n + 1)
         label = f"n = 0..{args.max_n}"
     else:
         if args.spot < 0:
             raise UsageError(f"--spot must be nonnegative, got {args.spot}")
-        span = (args.spot, args.spot + 1)
+        indices = range(args.spot, args.spot + 1)
         label = f"n = {args.spot}"
     methods = args.methods or METHODS
 
-    baseline = None
-    for method in methods:
-        values = _bench_run(method, span, args.workers)
-        if baseline is None:
-            baseline = values
-        elif values != baseline:
+    # Each route runs in this process: its agreement pass warms the caches
+    # (the brute route's B_n(x)) that its timed runs then read.
+    baseline = [Q_ROUTES[methods[0]](n) for n in indices]
+    for method in methods[1:]:
+        if [Q_ROUTES[method](n) for n in indices] != baseline:
             raise ArithmeticError(
                 f"method {method!r} disagrees with {methods[0]!r} over {label}"
             )
 
     timings = []
     for method in methods:
-        best = None
+        route = Q_ROUTES[method]
+        runs = []
         for _ in range(3):
             t0 = time.perf_counter()
-            _bench_run(method, span, args.workers)
-            elapsed = (time.perf_counter() - t0) * 1000
-            best = elapsed if best is None else min(best, elapsed)
-        timings.append((method, best))
+            for n in indices:
+                route(n)
+            runs.append((time.perf_counter() - t0) * 1000)
+        timings.append((method, min(runs)))
 
     if args.fmt == "csv":
         print("method,min_ms")
@@ -450,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--method", dest="methods", action="append", choices=METHODS, default=None)
     bench.add_argument("--spot", type=int, default=None, metavar="N", help="time a single index instead of a range")
     bench.add_argument("--format", dest="fmt", choices=("plain", "csv"), default="plain")
-    bench.add_argument("--workers", type=int, default=1)
 
     return parser
 

@@ -132,7 +132,8 @@ def binomial_valuation(m: int, k: int, p: int) -> int:
     """
     if not 0 <= k <= m:
         raise ValueError(f"binomial index out of range: k={k}, m={m}")
-    return (digit_sum(k, p) + digit_sum(m - k, p) - digit_sum(m, p)) // (p - 1)
+    _require_prime(p)
+    return (_digit_sum(k, p) + _digit_sum(m - k, p) - _digit_sum(m, p)) // (p - 1)
 
 
 def lucas_binom_mod(m: int, k: int, p: int) -> int:

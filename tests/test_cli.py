@@ -12,14 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersum_denoms import bernoulli, formulas, padic
+from powersum_denoms import bernoulli, cli, formulas, padic
 from powersum_denoms.cli import (
     METHODS,
     SEQUENCES,
     SUITES,
     _format_poly,
+    _strides,
     _suite_hermite,
-    _worker_spans,
     main,
 )
 from powersum_denoms.exact_poly import RationalPolynomial, content_split
@@ -278,15 +278,15 @@ def test_commands_load_only_the_layers_they_use():
 
 
 def test_cli_loads_process_pool_only_when_a_pool_starts():
-    # Importing the CLI, a one-process verify and a one-index bench leave the
-    # process machinery (about 20 ms of imports) unloaded.
+    # Importing the CLI, a one-process verify and a bench leave the process
+    # machinery (about 20 ms of imports) unloaded.
     script = (
         "import sys\n"
         "from powersum_denoms import cli\n"
         "names = {'multiprocessing', 'concurrent.futures.process'}\n"
         "print(sorted(names & set(sys.modules)))\n"
         "cli.main(['verify', '--suite', 'agreement', '--max-n', '20'])\n"
-        "cli.main(['bench', '--spot', '50', '--method', 'formula', '--workers', '2'])\n"
+        "cli.main(['bench', '--max-n', '20', '--method', 'formula'])\n"
         "print(sorted(names & set(sys.modules)))\n"
         "print(cli.ProcessPoolExecutor.__module__)\n"
     )
@@ -336,16 +336,41 @@ def test_tracer_reads_the_bernoulli_cache_statistics():
     assert callable(bernoulli._shared_poly.cache_info)
 
 
-def test_worker_spans_are_capped(monkeypatch):
+def test_strides_are_capped(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _worker_spans(0, 61, 1) == [(0, 61)]
-    assert _worker_spans(0, 61, 2) == [(0, 31), (31, 61)]
-    assert len(_worker_spans(0, 61, 10**9)) == 4
-    assert _worker_spans(0, 3, 10**9) == [(0, 1), (1, 2), (2, 3)]
-    assert _worker_spans(7, 8, 16) == [(7, 8)]
-    assert _worker_spans(0, 10, 3) == [(0, 4), (4, 8), (8, 10)]
+    assert _strides(60, 1) == [range(61)]
+    assert _strides(60, 2) == [range(0, 61, 2), range(1, 61, 2)]
+    assert _strides(60, 10**9) == [range(i, 61, 4) for i in range(4)]
+    assert _strides(2, 10**9) == [range(0, 3, 3), range(1, 3, 3), range(2, 3, 3)]
+    assert _strides(0, 16) == [range(1)]
+    assert _strides(9, 3) == [range(0, 10, 3), range(1, 10, 3), range(2, 10, 3)]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _worker_spans(0, 61, 8) == [(0, 61)]
+    assert _strides(60, 8) == [range(61)]
+
+
+def test_strides_deal_every_index_once(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for max_n in (0, 1, 2, 7, 60, 61):
+        for workers in (1, 2, 3, 5, 100):
+            dealt = sorted(n for stride in _strides(max_n, workers) for n in stride)
+            assert dealt == list(range(max_n + 1)), (max_n, workers)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
+def test_verify_workers_reports_failures_in_index_order(capsys, monkeypatch):
+    # Two strides deal the even indices to one process and the odd to the
+    # other, so unsorted rows would report q_6 before q_3.
+    psets = cli.Q_ROUTES["psets"]
+    monkeypatch.setitem(cli.Q_ROUTES, "psets", lambda n: psets(n) + (n in (3, 6)))
+    code, out, _ = run(
+        capsys, "verify", "--suite", "agreement", "--max-n", "8", "--workers", "2"
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "agreement: FAIL (2 of 9 checks)",
+        "  q_3: formula/epsilon/psets/brute disagree: (1, 1, 2, 1)",
+        "  q_6: formula/epsilon/psets/brute disagree: (6, 6, 7, 6)",
+    ]
 
 
 def test_verify_single_suite(capsys):
@@ -464,7 +489,6 @@ _GRAMMAR = {
         "--method": st.sampled_from(METHODS),
         "--spot": _INT,
         "--format": st.sampled_from(("plain", "csv", "bfile")),
-        "--workers": _WORKERS,
     },
 }
 

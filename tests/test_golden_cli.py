@@ -71,8 +71,8 @@ ARGV = [
     # bench, timings masked
     "bench --max-n 10 --method formula --method brute",
     "bench --max-n 8 --format csv",
-    "bench --spot 50 --method epsilon --method psets --workers 2",
-    "bench --max-n 10 --method formula --workers 2",
+    "bench --spot 50 --method epsilon --method psets",
+    "bench --max-n 10 --method formula",
     "bench --max-n -1 --spot 3 --method psets",
     # usage errors: the program's own checks
     "seq --from 5 --to 2",

@@ -101,6 +101,18 @@ def test_binomial_valuation_examples():
         binomial_valuation(5, 6, 3)
 
 
+def test_binomial_valuation_checks_its_base_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(padic, "is_prime", lambda p: calls.append(p) or is_prime(p))
+    assert binomial_valuation(20, 6, 3) == 1
+    assert calls == [3]
+    with pytest.raises(ValueError, match="binomial index out of range"):
+        binomial_valuation(5, 6, 4)
+    with pytest.raises(ValueError, match="not a prime base: 4"):
+        binomial_valuation(6, 5, 4)
+    assert calls == [3, 4]
+
+
 def test_lucas_examples():
     for m in (0, 3, 50):
         assert lucas_binom_mod(m, 0, 5) == 1
