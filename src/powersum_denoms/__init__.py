@@ -22,7 +22,6 @@ _EXPORTS = {
         "bernoulli_numbers",
         "bernoulli_poly",
         "bernoulli_poly_denominator_direct",
-        "bernoulli_poly_denominator_formula",
     ),
     "exact_poly": (
         "Rational",
@@ -35,6 +34,7 @@ _EXPORTS = {
     "formulas": (
         "EpsilonVector",
         "SquarefreeProduct",
+        "bernoulli_poly_denominator_formula",
         "clausen_denominator",
         "hermite_bachmann_holds",
         "primes_upto",

@@ -1,13 +1,12 @@
 """Bernoulli numbers and polynomials, exactly.
 
 Provides the shared table of Bernoulli numbers (first kind, B_1 = -1/2),
-Bernoulli polynomials as exact rational polynomials, and two independent
-routes to the denominator of B_n(x): direct coefficient inspection and a
-squarefree product over digit-sum criteria.  The integrality check
-k^n * (B_n(h/k) - B_n) rounds out the module.  The von Staudt-Clausen
-denominator ``clausen_denominator``, the ``SquarefreeProduct`` result type
-and the digit-sum search come from ``formulas``, which imports nothing from
-here; the first two can still be imported from this module.
+Bernoulli polynomials as exact rational polynomials, and the denominator of
+B_n(x) read off its coefficients.  The integrality check
+k^n * (B_n(h/k) - B_n) rounds out the module.  The product formula for that
+denominator, the von Staudt-Clausen denominator and the ``SquarefreeProduct``
+result type live in ``formulas``, which imports nothing from here; all three
+can still be imported from this module.
 
 The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
 of the Seidel boustrophedon triangle give every even-index B_2k through
@@ -27,7 +26,7 @@ from itertools import accumulate
 from math import comb, lcm
 
 from .exact_poly import RationalPolynomial
-from .formulas import SquarefreeProduct, _digit_sum_primes, clausen_denominator
+from .formulas import SquarefreeProduct, bernoulli_poly_denominator_formula, clausen_denominator
 
 
 class BernoulliTable:
@@ -116,25 +115,6 @@ def bernoulli_poly_denominator_direct(n: int) -> int:
     if n < 1:
         raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
     return _shared_poly(n)[1]
-
-
-def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
-    """Denominator of B_n(x) as a squarefree product, without coefficients.
-
-    For odd n >= 3 it is the product of the primes p <= (n+1)/2 whose base-p
-    digit sum of n is at least p.  For even n the von Staudt-Clausen primes
-    appear, together with the primes p <= (n+1)/3 whose digit sum of n is at
-    least p.  n = 1 gives the bare factor 2.  The digit-sum primes come from
-    the same O(sqrt(n)) search as q_n_formula's.
-    """
-    if n < 1:
-        raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
-    if n == 1:
-        return SquarefreeProduct._of_sorted_primes([2])
-    if n % 2 == 1:
-        return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n, (n + 1) // 2))
-    ps = set(clausen_denominator(n).primes).union(_digit_sum_primes(n, (n + 1) // 3))
-    return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
 def almkvist_meurman_check(n: int, h: int, k: int) -> bool:

@@ -7,19 +7,21 @@ renders one power-sum polynomial over its least common denominator;
 factor of q_n; ``bench`` times the q_n routes against each other.
 
 Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
-first and raises ``UsageError`` for a bad one.  ``Q_ROUTES`` is the one
-table of the four q_n routes that ``seq``, ``bench`` and the agreement
-suite share; ``SUITES`` names the verify suites.  ``verify --workers``
-deals the agreement suite's indices round-robin over a process pool, the
-one place a pool starts; ``bench`` times each route in the calling process.
+first and raises ``UsageError`` for a bad one.  The commands are tables over
+the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
+and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
+methods and their routes; ``SUITES`` maps each verify suite to a generator
+of ``(ok, message)`` pairs, one per check.  ``verify --workers`` deals the
+agreement suite's indices round-robin over a process pool, the one place a
+pool starts; ``bench`` times each route in the calling process.
 
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
-``seq --seq q``/``d`` and ``Dclausen``, and ``witness``.  ``bernoulli`` and
-``powersum``, and with them ``fractions`` and the polynomial layer, are
-imported inside the paths that need them: the brute route, ``Dpoly``,
-``poly`` and the verify suites.  The process pool is imported only when the
-agreement suite starts a pool of two or more processes.
+``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula, and
+``witness``.  ``bernoulli`` and ``powersum``, and with them ``fractions``
+and the polynomial layer, are imported inside the paths that need them: the
+brute routes, ``poly`` and the verify suites.  The process pool is imported
+only when the agreement suite starts a pool of two or more processes.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and on an index too large for the memory at hand.
@@ -34,16 +36,16 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Callable, Iterator
+from importlib import import_module
 
 from . import formulas, padic
 
-SEQUENCES = ("d", "q", "Dclausen", "Dpoly")
 
-
-def _q_brute(n: int) -> int:
-    from . import powersum
-
-    return powersum.q_n_bruteforce(n)
+def _lazy(module: str, name: str) -> Callable[[int], int]:
+    # A route into a module that loads the polynomial layer: imported on the
+    # first call, and the function looked up at each call, like the others.
+    return lambda n: getattr(import_module(f"{__package__}.{module}"), name)(n)
 
 
 # The four routes to q_n.  Each looks its function up when it is called, so a
@@ -52,38 +54,36 @@ Q_ROUTES = {
     "formula": lambda n: formulas.q_n_formula(n).value,
     "epsilon": lambda n: formulas.q_n_epsilon(n).value(),
     "psets": lambda n: formulas.q_n_via_psets(n).value,
-    "brute": _q_brute,
+    "brute": _lazy("powersum", "q_n_bruteforce"),
 }
 METHODS = tuple(Q_ROUTES)
 
-_METHODS_FOR_SEQ = {
-    "d": METHODS,
-    "q": METHODS,
-    "Dclausen": ("formula",),
-    "Dpoly": ("formula", "brute"),
+
+def _d_via(method: str) -> Callable[[int], int]:
+    return lambda n: (n + 1) * Q_ROUTES[method](n)
+
+
+# Each sequence's methods and their routes, in the order --seq lists them.
+# d_n is (n+1) * q_n by each digit-based q_n route.
+SEQ_ROUTES = {
+    "d": {
+        "formula": _d_via("formula"),
+        "epsilon": _d_via("epsilon"),
+        "psets": _d_via("psets"),
+        "brute": _lazy("powersum", "d_n"),
+    },
+    "q": Q_ROUTES,
+    "Dclausen": {"formula": lambda n: formulas.clausen_denominator(n).value},
+    "Dpoly": {
+        "formula": lambda n: formulas.bernoulli_poly_denominator_formula(n).value,
+        "brute": _lazy("bernoulli", "bernoulli_poly_denominator_direct"),
+    },
 }
+SEQUENCES = tuple(SEQ_ROUTES)
 
 
 class UsageError(Exception):
     pass
-
-
-def _sequence_value(sequence: str, method: str, n: int) -> int:
-    if sequence == "q":
-        return Q_ROUTES[method](n)
-    if sequence == "d":
-        if method != "brute":
-            return (n + 1) * Q_ROUTES[method](n)
-        from . import powersum
-
-        return powersum.d_n(n)
-    if sequence == "Dclausen":
-        return formulas.clausen_denominator(n).value
-    from . import bernoulli
-
-    if method == "brute":
-        return bernoulli.bernoulli_poly_denominator_direct(n)
-    return bernoulli.bernoulli_poly_denominator_formula(n).value
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -92,7 +92,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
         raise UsageError(f"--from must be nonnegative, got {start}")
     if end < start:
         raise UsageError(f"--to must be >= --from, got {start}..{end}")
-    if method not in _METHODS_FOR_SEQ[sequence]:
+    route = SEQ_ROUTES[sequence].get(method)
+    if route is None:
         raise UsageError(f"method {method!r} is not available for --seq {sequence}")
     if sequence == "Dclausen" and (start % 2 or end % 2 or start < 2):
         raise UsageError("--seq Dclausen needs an even range starting at 2 or above")
@@ -101,7 +102,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         print("n,value,method")
     for n in range(start, end + 1, 2 if sequence == "Dclausen" else 1):
-        value = _sequence_value(sequence, method, n)
+        value = route(n)
         if args.fmt == "csv":
             print(f"{n},{value},{method}")
         elif args.fmt == "bfile":
@@ -180,16 +181,6 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # verify suites
 
 
-class SuiteResult:
-    def __init__(self) -> None:
-        self.checks, self.failures = 0, []
-
-    def check(self, ok: bool, message: str) -> None:
-        self.checks += 1
-        if not ok:
-            self.failures.append(message)
-
-
 def _strides(max_n: int, workers: int) -> list[range]:
     """0..max_n dealt round-robin into one stride per process: at most
     --workers, the number of indices, or the CPU count, whichever is least.
@@ -213,7 +204,7 @@ def _agreement_rows(indices: range) -> list[tuple[int, tuple[int, ...]]]:
     return [(n, tuple(route(n) for route in Q_ROUTES.values())) for n in indices]
 
 
-def _suite_agreement(max_n: int, workers: int) -> SuiteResult:
+def _suite_agreement(max_n: int, workers: int) -> Iterator[tuple[bool, str]]:
     strides = _strides(max_n, workers)
     if len(strides) == 1:
         rows = _agreement_rows(strides[0])
@@ -226,102 +217,78 @@ def _suite_agreement(max_n: int, workers: int) -> SuiteResult:
             parts = list(pool.map(_agreement_rows, strides))
         # The rows come back stride by stride; the report is in index order.
         rows = sorted(row for part in parts for row in part)
-    result = SuiteResult()
     for n, values in rows:
-        result.check(
-            len(set(values)) == 1,
-            f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}",
-        )
-    return result
+        yield len(set(values)) == 1, f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}"
 
 
-def _suite_clausen(max_n: int) -> SuiteResult:
+def _suite_clausen(max_n: int) -> Iterator[tuple[bool, str]]:
     from . import bernoulli
 
-    result = SuiteResult()
     table = bernoulli.bernoulli_numbers(max_n)
     for n in range(2, max_n + 1, 2):
         expected = formulas.clausen_denominator(n).value
         actual = table.number(n).denominator
-        result.check(
-            actual == expected, f"denominator of B_{n}: {actual} != {expected}"
-        )
-    return result
+        yield actual == expected, f"denominator of B_{n}: {actual} != {expected}"
 
 
-def _suite_hermite(max_n: int) -> SuiteResult:
-    result = SuiteResult()
+def _suite_hermite(max_n: int) -> Iterator[tuple[bool, str]]:
     for p in formulas.primes_upto(50):
         for m in range(1, max_n + 1):
-            result.check(
-                formulas._hermite_bachmann_holds(m, p),
-                f"binomial sum congruence fails at m={m}, p={p}",
-            )
-    return result
+            ok = formulas._hermite_bachmann_holds(m, p)
+            yield ok, f"binomial sum congruence fails at m={m}, p={p}"
 
 
-def _suite_bounds(max_n: int) -> SuiteResult:
+def _suite_bounds(max_n: int) -> Iterator[tuple[bool, str]]:
     from . import powersum
 
-    result = SuiteResult()
     for m in range(3, max_n + 1):
         top = m - 1 if m % 2 == 1 else m - 2
         for k in range(2, top + 1, 2):
-            result.check(
-                formulas.pset_bound_check(m, k), f"prime-set bound fails at m={m}, k={k}"
-            )
+            yield formulas.pset_bound_check(m, k), f"prime-set bound fails at m={m}, k={k}"
     for n in range(max_n + 1):
         d = powersum.d_n(n)
         q = powersum.q_n_bruteforce(n)
-        result.check(d == (n + 1) * q, f"d_{n} != (n+1) * q_{n}")
+        yield d == (n + 1) * q, f"d_{n} != (n+1) * q_{n}"
         if n >= 1:
-            result.check(d % 2 == 0, f"d_{n} is odd")
-        result.check(
-            (q % 2 == 1) == ((n + 1) & n == 0),
-            f"parity of q_{n} disagrees with n+1 being a power of 2",
-        )
+            yield d % 2 == 0, f"d_{n} is odd"
+        odd = q % 2 == 1
+        yield odd == ((n + 1) & n == 0), f"parity of q_{n} disagrees with n+1 being a power of 2"
         limit = powersum.bound_M(n)
         for f in powersum._prime_factors(q):
-            result.check(f <= limit, f"prime {f} of q_{n} exceeds the bound")
-    return result
+            yield f <= limit, f"prime {f} of q_{n} exceeds the bound"
 
 
-def _suite_witnesses(max_n: int) -> SuiteResult:
-    result = SuiteResult()
+def _suite_witnesses(max_n: int) -> Iterator[tuple[bool, str]]:
     for n in range(max_n + 1):
         for p in formulas.q_n_formula(n).primes:
             if p == 2:
                 continue
             try:
                 padic.marble_witness(n + 1, p)
-                result.check(True, "")
+                yield True, ""
             except (ValueError, ArithmeticError) as exc:
-                result.check(False, f"witness failed at n={n}, p={p}: {exc}")
+                yield False, f"witness failed at n={n}, p={p}: {exc}"
     for p in formulas.primes_upto(max(2, (max_n + 2) // 3)):
         if p == 2:
             continue
         try:
             formulas.sharpness_witnesses(p)
-            result.check(True, "")
+            yield True, ""
         except ArithmeticError as exc:
-            result.check(False, f"sharpness failed at p={p}: {exc}")
-    return result
+            yield False, f"sharpness failed at p={p}: {exc}"
 
 
-def _suite_almkvist(max_n: int) -> SuiteResult:
+def _suite_almkvist(max_n: int) -> Iterator[tuple[bool, str]]:
     from . import bernoulli
 
-    result = SuiteResult()
     for n in range(max_n + 1):
         for h in range(-10, 11):
             for k in range(1, 11):
-                result.check(
-                    bernoulli.almkvist_meurman_check(n, h, k),
-                    f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}",
-                )
-    return result
+                ok = bernoulli.almkvist_meurman_check(n, h, k)
+                yield ok, f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}"
 
 
+# Each suite yields one (ok, message) pair per check.
 SUITES = {
     "agreement": lambda args: _suite_agreement(args.max_n, args.workers),
     "clausen": lambda args: _suite_clausen(args.max_n),
@@ -340,16 +307,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     names = list(SUITES) if args.suite == "all" else [args.suite]
     failed = False
     for name in names:
-        result = SUITES[name](args)
-        if result.failures:
+        checks, failures = 0, []
+        for ok, message in SUITES[name](args):
+            checks += 1
+            if not ok:
+                failures.append(message)
+        if failures:
             failed = True
-            print(f"{name}: FAIL ({len(result.failures)} of {result.checks} checks)")
-            for message in result.failures[:5]:
+            print(f"{name}: FAIL ({len(failures)} of {checks} checks)")
+            for message in failures[:5]:
                 print(f"  {message}")
-            if len(result.failures) > 5:
-                print(f"  ... and {len(result.failures) - 5} more")
+            if len(failures) > 5:
+                print(f"  ... and {len(failures) - 5} more")
         else:
-            print(f"{name}: PASS ({result.checks} checks)")
+            print(f"{name}: PASS ({checks} checks)")
     return 1 if failed else 0
 
 
@@ -452,6 +423,10 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # q_n at n = 10^8 has more than the 4,300 digits CPython converts to
+        # str by default (3.10.7 on); the input was parsed above, under it.
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except UsageError as exc:

@@ -1,4 +1,5 @@
-"""Fast product formulas for the power-sum denominator quotient q_n.
+"""Fast product formulas for the power-sum denominator quotient q_n, and for
+the denominator of the Bernoulli polynomial B_n(x).
 
 Three independent routes, all returning the same squarefree number:
 
@@ -16,14 +17,15 @@ sum.  A larger prime p has two base-p digits, n+1 = a*p + b, so its digit
 sum a + b is at least p exactly when p <= (n+1+a)/(a+1); together with
 p > (n+1)/(a+1) that leaves one candidate per quotient a, which needs only a
 primality test (Kellner, "On a product of certain primes", J. Number Theory,
-2017).  Supporting checks (a binomial-sum congruence, the sharpness of the
-prime bound, and per-k bounds on the prime sets) live here too.
+2017).  The denominator of B_n(x) is read off the same digit sums, of n
+this time, by the same search.  Supporting checks (a binomial-sum
+congruence, the sharpness of the prime bound, and per-k bounds on the prime
+sets) live here too.
 
 The squarefree result type ``SquarefreeProduct`` and the von Staudt-Clausen
-denominator ``clausen_denominator`` (the prime sets are built on it) live
-here as well, so this module needs nothing from the package but ``padic``:
-the q_n formulas load no Bernoulli or polynomial code.  ``bernoulli``
-imports them from here.
+denominator ``clausen_denominator`` live here as well, so this module needs
+nothing from the package but ``padic``: the q_n and B_n(x) formulas load no
+Bernoulli or polynomial code.  ``bernoulli`` imports both from here.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
@@ -104,6 +106,25 @@ def q_n_formula(n: int) -> SquarefreeProduct:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n + 1, _prime_limit(n)))
+
+
+def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
+    """Denominator of B_n(x) as a squarefree product, without coefficients.
+
+    For odd n >= 3 it is the product of the primes p <= (n+1)/2 whose base-p
+    digit sum of n is at least p.  For even n the von Staudt-Clausen primes
+    appear, together with the primes p <= (n+1)/3 whose digit sum of n is at
+    least p.  n = 1 gives the bare factor 2.  The digit-sum primes come from
+    the same O(sqrt(n)) search as q_n_formula's.
+    """
+    if n < 1:
+        raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
+    if n == 1:
+        return SquarefreeProduct._of_sorted_primes([2])
+    if n % 2 == 1:
+        return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n, (n + 1) // 2))
+    ps = set(clausen_denominator(n).primes).union(_digit_sum_primes(n, (n + 1) // 3))
+    return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
 class EpsilonVector(Record):

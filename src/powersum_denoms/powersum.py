@@ -48,6 +48,8 @@ def shifted_power_sum_poly(n: int) -> RationalPolynomial:
 
     Handles n = 0 as well, where the sum is simply x.
     """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
     if n == 0:
         return RationalPolynomial([0, 1])
     _, (numerators, d) = _power_sums(n)
@@ -78,6 +80,8 @@ def d_n(n: int) -> int:
     For n >= 1 the shifted and unshifted power sums have the same
     denominator; that equality is asserted rather than assumed.
     """
+    if n < 0:
+        raise ValueError(f"index must be nonnegative, got {n}")
     if n == 0:
         return 1
     (_, d_base), (_, d) = _power_sums(n)

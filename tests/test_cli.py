@@ -231,9 +231,66 @@ def test_hermite_suite_tests_no_prime_again(monkeypatch):
 
     monkeypatch.setattr(padic, "is_prime", counted)
     monkeypatch.setattr(formulas, "is_prime", counted)
-    result = _suite_hermite(60)
-    assert result.checks == 15 * 60 and result.failures == []
+    pairs = list(_suite_hermite(60))
+    assert len(pairs) == 15 * 60 and all(ok for ok, _ in pairs)
     assert calls == []
+
+
+def test_verify_reports_the_first_five_failures(capsys, monkeypatch):
+    # One process: the five-message cap and the failure count, in check order.
+    monkeypatch.setattr(bernoulli, "almkvist_meurman_check", lambda n, h, k: h >= 0)
+    code, out, _ = run(capsys, "verify", "--suite", "almkvist", "--max-n", "1")
+    assert code == 1
+    assert out.splitlines() == [
+        "almkvist: FAIL (200 of 420 checks)",
+        *(f"  k^n (B_n(h/k) - B_n) not integral at n=0, h=-10, k={k}" for k in range(1, 6)),
+        "  ... and 195 more",
+    ]
+
+
+def _str_past_the_digit_limit(x):
+    # str(x) for x past CPython's 4,300-digit default, where there is a limit.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_seq_prints_values_past_4300_digits():
+    argv = ("seq", "--from", "100000000", "--to", "100000000")
+    proc = _python("-m", "powersum_denoms", *argv, timeout=60)
+    expected = _str_past_the_digit_limit(formulas.q_n_formula(10**8).value)
+    assert len(expected) > 4300
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{expected}\n".encode(), b"")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("seq", "--seq", "d", "--from", "100000000", "--to", "100000000"),
+        ("seq", "--seq", "Dpoly", "--from", "100000000", "--to", "100000000"),
+        ("witness", "--n", "100000000", "--p", "3"),
+    ],
+    ids=("d", "Dpoly", "witness"),
+)
+def test_commands_print_values_past_4300_digits(argv):
+    proc = _python("-m", "powersum_denoms", *argv, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert len(proc.stdout) > 4300
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-str digit limit"
+)
+def test_input_past_4300_digits_is_still_a_usage_error():
+    proc = _python("-m", "powersum_denoms", "seq", "--to", "9" * 4301, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert b"invalid int value" in proc.stderr
 
 
 def test_witness_near_the_miller_rabin_bound_ends_at_once():
@@ -248,10 +305,10 @@ def test_witness_near_the_miller_rabin_bound_ends_at_once():
 
 
 def test_commands_load_only_the_layers_they_use():
-    # The package import loads no submodule.  The digit-based q_n routes and
-    # Dclausen need neither the Bernoulli and power-sum layers nor the
-    # polynomial code and fractions behind them; poly needs all of them.  No
-    # run loads dataclasses.
+    # The package import loads no submodule.  The digit-based q_n routes,
+    # Dclausen and Dpoly by formula need neither the Bernoulli and power-sum
+    # layers nor the polynomial code and fractions behind them; poly needs
+    # all of them.  No run loads dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
@@ -263,6 +320,7 @@ def test_commands_load_only_the_layers_they_use():
         "from powersum_denoms import cli\n"
         "cli.main(['seq', '--seq', 'q', '--to', '5'])\n"
         "cli.main(['seq', '--seq', 'Dclausen', '--from', '2', '--to', '10'])\n"
+        "cli.main(['seq', '--seq', 'Dpoly', '--from', '1', '--to', '12'])\n"
         "report(heavy | {'dataclasses'})\n"
         "cli.main(['poly', '--n', '4'])\n"
         "report(heavy | {'dataclasses'})\n"

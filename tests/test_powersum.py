@@ -206,3 +206,10 @@ def test_program_paths_do_no_fraction_polynomial_arithmetic(monkeypatch, capsys)
     assert capsys.readouterr().out == (
         "1/12 * (2x^6 + 6x^5 + 5x^4 - x^2)\n1/12 * (2x^6 - 6x^5 + 5x^4 - x^2)\n"
     )
+
+
+@pytest.mark.parametrize("function", [d_n, q_n_bruteforce, shifted_power_sum_poly])
+@pytest.mark.parametrize("n", [-1, -2])
+def test_negative_index_is_a_value_error(function, n):
+    with pytest.raises(ValueError, match=f"^index must be nonnegative, got {n}$"):
+        function(n)
