@@ -24,10 +24,8 @@ _EXPORTS = {
         "bernoulli_poly_denominator_direct",
     ),
     "exact_poly": (
-        "Rational",
         "RationalPolynomial",
         "content_split",
-        "denom",
         "lagrange_interpolate",
         "poly_denominator",
     ),
@@ -48,7 +46,6 @@ _EXPORTS = {
     "padic": (
         "DigitExpansion",
         "MarbleWitness",
-        "binomial_valuation",
         "digit_sum",
         "digits",
         "fine_count",
@@ -62,7 +59,6 @@ _EXPORTS = {
         "d_n",
         "faulhaber_form",
         "power_sum_oracle",
-        "power_sum_poly",
         "q_n_bruteforce",
         "shifted_power_sum_poly",
         "t_n_poly",

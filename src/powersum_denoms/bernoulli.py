@@ -14,8 +14,8 @@ B_2k = (-1)^(k-1) * 2k * A_(2k-1) / (4^k * (4^k - 1)) (Brent and Harvey,
 "Fast computation of Bernoulli, tangent and secant numbers", 2011), so the
 table needs no rational arithmetic until that last division.  Each B_n(x)
 is cached once as integer numerators over their least common denominator,
-which every program path reads; ``bernoulli_poly`` is the public
-``RationalPolynomial`` view of it.  The caches only ever grow.
+which every program path reads; ``bernoulli_poly`` builds a
+``RationalPolynomial`` view of it on each call.  The caches only ever grow.
 """
 
 from __future__ import annotations
@@ -86,28 +86,24 @@ def _shared_poly(n: int) -> tuple[tuple[int, ...], int]:
     # B_n(x) as (numerators, D): numerators[i] / D is the coefficient of x^i,
     # and D is the least common denominator, so gcd(D, *numerators) == 1.
     # The term binomial(n, k) * B_k sits at x^(n-k); it is zero for odd k >= 3.
-    table = bernoulli_numbers(n)
-    bs = [table.number(k) for k in range(n, -1, -1)]
+    # B_n .. B_0 read after one growth of the table: ``number`` would call
+    # ``extend_to`` again for each of them.
+    bs = bernoulli_numbers(n)._values[n::-1]
     terms = [Fraction(comb(n, i) * b.numerator, b.denominator) for i, b in enumerate(bs)]
     d = lcm(*(t.denominator for t in terms))
     return tuple(t.numerator * (d // t.denominator) for t in terms), d
 
 
-@lru_cache(maxsize=None)
-def _rational_poly(n: int) -> RationalPolynomial:
-    numerators, d = _shared_poly(n)
-    return RationalPolynomial(Fraction(c, d) for c in numerators)
-
-
 def bernoulli_poly(n: int) -> RationalPolynomial:
     """B_n(x) = sum(binomial(n, k) * B_k * x^(n-k) for k in 0..n).
 
-    Built once per n from the cached scaled-integer form and cached itself;
-    that is safe because the polynomials are immutable.
+    A ``Fraction`` view, built at each call from the cached scaled-integer
+    form; no program path calls it.
     """
     if n < 0:
         raise ValueError(f"Bernoulli polynomials are indexed from 0, got {n}")
-    return _rational_poly(n)
+    numerators, d = _shared_poly(n)
+    return RationalPolynomial(Fraction(c, d) for c in numerators)
 
 
 def bernoulli_poly_denominator_direct(n: int) -> int:

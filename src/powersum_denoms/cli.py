@@ -11,9 +11,11 @@ first and raises ``UsageError`` for a bad one.  The commands are tables over
 the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
 and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
 methods and their routes; ``SUITES`` maps each verify suite to a generator
-of ``(ok, message)`` pairs, one per check.  ``verify --workers`` deals the
-agreement suite's indices round-robin over a process pool, the one place a
-pool starts; ``bench`` times each route in the calling process.
+that yields one item per check: ``None`` when it passes, its failure
+message when it fails, so no message is formatted for a passing check.
+``verify --workers`` deals the agreement suite's indices round-robin over a
+process pool, the one place a pool starts; ``bench`` times each route in the
+calling process.
 
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
@@ -25,7 +27,8 @@ only when the agreement suite starts a pool of two or more processes.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and on an index too large for the memory at hand.
-A reader that closes the output pipe early ends the run quietly with 0.
+A reader that closes the output pipe early ends the run quietly with 0, and
+an interrupt (Ctrl-C) ends it quietly with 130.
 All output except timings is deterministic; ``seq`` writes each value as
 soon as it is computed.
 """
@@ -204,7 +207,7 @@ def _agreement_rows(indices: range) -> list[tuple[int, tuple[int, ...]]]:
     return [(n, tuple(route(n) for route in Q_ROUTES.values())) for n in indices]
 
 
-def _suite_agreement(max_n: int, workers: int) -> Iterator[tuple[bool, str]]:
+def _suite_agreement(max_n: int, workers: int) -> Iterator[str | None]:
     strides = _strides(max_n, workers)
     if len(strides) == 1:
         rows = _agreement_rows(strides[0])
@@ -218,77 +221,80 @@ def _suite_agreement(max_n: int, workers: int) -> Iterator[tuple[bool, str]]:
         # The rows come back stride by stride; the report is in index order.
         rows = sorted(row for part in parts for row in part)
     for n, values in rows:
-        yield len(set(values)) == 1, f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}"
+        ok = len(set(values)) == 1
+        yield None if ok else f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}"
 
 
-def _suite_clausen(max_n: int) -> Iterator[tuple[bool, str]]:
+def _suite_clausen(max_n: int) -> Iterator[str | None]:
     from . import bernoulli
 
     table = bernoulli.bernoulli_numbers(max_n)
     for n in range(2, max_n + 1, 2):
         expected = formulas.clausen_denominator(n).value
         actual = table.number(n).denominator
-        yield actual == expected, f"denominator of B_{n}: {actual} != {expected}"
+        yield None if actual == expected else f"denominator of B_{n}: {actual} != {expected}"
 
 
-def _suite_hermite(max_n: int) -> Iterator[tuple[bool, str]]:
+def _suite_hermite(max_n: int) -> Iterator[str | None]:
     for p in formulas.primes_upto(50):
         for m in range(1, max_n + 1):
             ok = formulas._hermite_bachmann_holds(m, p)
-            yield ok, f"binomial sum congruence fails at m={m}, p={p}"
+            yield None if ok else f"binomial sum congruence fails at m={m}, p={p}"
 
 
-def _suite_bounds(max_n: int) -> Iterator[tuple[bool, str]]:
+def _suite_bounds(max_n: int) -> Iterator[str | None]:
     from . import powersum
 
     for m in range(3, max_n + 1):
         top = m - 1 if m % 2 == 1 else m - 2
         for k in range(2, top + 1, 2):
-            yield formulas.pset_bound_check(m, k), f"prime-set bound fails at m={m}, k={k}"
+            ok = formulas.pset_bound_check(m, k)
+            yield None if ok else f"prime-set bound fails at m={m}, k={k}"
     for n in range(max_n + 1):
         d = powersum.d_n(n)
         q = powersum.q_n_bruteforce(n)
-        yield d == (n + 1) * q, f"d_{n} != (n+1) * q_{n}"
+        yield None if d == (n + 1) * q else f"d_{n} != (n+1) * q_{n}"
         if n >= 1:
-            yield d % 2 == 0, f"d_{n} is odd"
+            yield None if d % 2 == 0 else f"d_{n} is odd"
         odd = q % 2 == 1
-        yield odd == ((n + 1) & n == 0), f"parity of q_{n} disagrees with n+1 being a power of 2"
+        ok = odd == ((n + 1) & n == 0)
+        yield None if ok else f"parity of q_{n} disagrees with n+1 being a power of 2"
         limit = powersum.bound_M(n)
         for f in powersum._prime_factors(q):
-            yield f <= limit, f"prime {f} of q_{n} exceeds the bound"
+            yield None if f <= limit else f"prime {f} of q_{n} exceeds the bound"
 
 
-def _suite_witnesses(max_n: int) -> Iterator[tuple[bool, str]]:
+def _suite_witnesses(max_n: int) -> Iterator[str | None]:
     for n in range(max_n + 1):
         for p in formulas.q_n_formula(n).primes:
             if p == 2:
                 continue
             try:
                 padic.marble_witness(n + 1, p)
-                yield True, ""
+                yield None
             except (ValueError, ArithmeticError) as exc:
-                yield False, f"witness failed at n={n}, p={p}: {exc}"
+                yield f"witness failed at n={n}, p={p}: {exc}"
     for p in formulas.primes_upto(max(2, (max_n + 2) // 3)):
         if p == 2:
             continue
         try:
             formulas.sharpness_witnesses(p)
-            yield True, ""
+            yield None
         except ArithmeticError as exc:
-            yield False, f"sharpness failed at p={p}: {exc}"
+            yield f"sharpness failed at p={p}: {exc}"
 
 
-def _suite_almkvist(max_n: int) -> Iterator[tuple[bool, str]]:
+def _suite_almkvist(max_n: int) -> Iterator[str | None]:
     from . import bernoulli
 
     for n in range(max_n + 1):
         for h in range(-10, 11):
             for k in range(1, 11):
                 ok = bernoulli.almkvist_meurman_check(n, h, k)
-                yield ok, f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}"
+                yield None if ok else f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}"
 
 
-# Each suite yields one (ok, message) pair per check.
+# Each suite yields one item per check: None, or the check's failure message.
 SUITES = {
     "agreement": lambda args: _suite_agreement(args.max_n, args.workers),
     "clausen": lambda args: _suite_clausen(args.max_n),
@@ -308,10 +314,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for name in names:
         checks, failures = 0, []
-        for ok, message in SUITES[name](args):
+        for failure in SUITES[name](args):
             checks += 1
-            if not ok:
-                failures.append(message)
+            if failure is not None:
+                failures.append(failure)
         if failures:
             failed = True
             print(f"{name}: FAIL ({len(failures)} of {checks} checks)")
@@ -452,6 +458,9 @@ def entry() -> None:
         # unwritten buffer does not fail again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 0
+    except KeyboardInterrupt:
+        # Ctrl-C: stop without a traceback, with the shell's code for SIGINT.
+        code = 130
     raise SystemExit(code)
 
 

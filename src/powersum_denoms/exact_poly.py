@@ -1,12 +1,11 @@
-"""Exact rational arithmetic and dense polynomials over the rationals.
+"""Dense polynomials over the rationals: the tests' independent oracle.
 
-Rational values are ``fractions.Fraction``: arbitrary precision, always
-normalized to lowest terms with a positive denominator.  This module is the
-public polynomial type: immutable dense coefficient vectors, denominator
-extraction, content/primitive splitting, and exact interpolation through
-integer or rational points.  The program's own paths read the scaled-integer
-B_n(x) of :mod:`powersum_denoms.bernoulli` instead, so this layer is the
-independent oracle for them.
+No program path does ``Fraction`` polynomial arithmetic: d_n, q_n, the
+Faulhaber form and the denominator of B_n(x) are read off the scaled-integer
+B_n(x) of :mod:`powersum_denoms.bernoulli`.  This module checks them and is
+not a general polynomial API: an immutable coefficient vector with ``+``,
+``*`` and exact evaluation, its denominator and content split, and exact
+interpolation (behind ``powersum.power_sum_oracle``).
 """
 
 from __future__ import annotations
@@ -15,14 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
-
-
-def denom(value: RationalLike) -> int:
-    """Denominator of value in lowest terms; integers have denominator 1."""
-    return Fraction(value).denominator
 
 
 class RationalPolynomial:
@@ -46,17 +38,6 @@ class RationalPolynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RationalPolynomial is immutable")
 
-    @classmethod
-    def zero(cls) -> "RationalPolynomial":
-        return cls()
-
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "RationalPolynomial":
-        """The polynomial coeff * x^power."""
-        if power < 0:
-            raise ValueError(f"negative power: {power}")
-        return cls([0] * power + [coeff])
-
     @property
     def degree(self) -> int:
         """Degree of the polynomial; the zero polynomial has degree -1."""
@@ -64,18 +45,6 @@ class RationalPolynomial:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coefficient(self, power: int) -> Fraction:
-        """Coefficient of x^power (zero beyond the stored degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
-        return Fraction(0)
-
-    @property
-    def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
 
     def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
         if not isinstance(other, RationalPolynomial):
@@ -87,14 +56,6 @@ class RationalPolynomial:
         for i, c in enumerate(b):
             out[i] += c
         return RationalPolynomial(out)
-
-    def __neg__(self) -> "RationalPolynomial":
-        return RationalPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self + (-other)
 
     def __mul__(self, other: object) -> "RationalPolynomial":
         if isinstance(other, (int, Fraction)):
@@ -110,11 +71,6 @@ class RationalPolynomial:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return RationalPolynomial(out)
-
-    def __rmul__(self, other: object) -> "RationalPolynomial":
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        return NotImplemented
 
     def eval(self, x: RationalLike) -> Fraction:
         """Evaluate at x by Horner's rule, exactly."""

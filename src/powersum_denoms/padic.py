@@ -1,7 +1,7 @@
 """Base-p digit machinery.
 
-Digit expansions and digit sums, factorial and binomial valuations computed
-from digit sums alone, binomial residues by Lucas's theorem, the count of
+Digit expansions and digit sums, factorial valuations computed from digit
+sums alone, binomial residues by Lucas's theorem, the count of
 nonzero entries in a row of Pascal's triangle mod p, and a digit-filling
 construction that exhibits a multiple of p - 1 whose binomial coefficient
 survives reduction mod p.
@@ -123,17 +123,6 @@ def _digit_sum(x: int, p: int) -> int:
 def legendre_valuation_factorial(x: int, p: int) -> int:
     """Exponent of p in x!, via Legendre's identity (x - digit_sum) / (p - 1)."""
     return (x - digit_sum(x, p)) // (p - 1)
-
-
-def binomial_valuation(m: int, k: int, p: int) -> int:
-    """Exponent of p in binomial(m, k), by Kummer's digit-sum form.
-
-    Equals the number of carries when adding k and m - k in base p.
-    """
-    if not 0 <= k <= m:
-        raise ValueError(f"binomial index out of range: k={k}, m={m}")
-    _require_prime(p)
-    return (_digit_sum(k, p) + _digit_sum(m - k, p) - _digit_sum(m, p)) // (p - 1)
 
 
 def lucas_binom_mod(m: int, k: int, p: int) -> int:

@@ -31,18 +31,6 @@ def _power_sums(n: int) -> list[tuple[list[int], int]]:
     return [([c // g for c in cs], scale // g) for cs, g in zip((base, shifted), gs)]
 
 
-def power_sum_poly(n: int) -> RationalPolynomial:
-    """S_n(x) = (B_{n+1}(x) - B_{n+1}) / (n+1), the sum 1^n + ... + (x-1)^n.
-
-    Defined for n >= 1; S_n is a degree n+1 polynomial with zero constant
-    term.
-    """
-    if n < 1:
-        raise ValueError(f"power-sum polynomial needs n >= 1, got {n}")
-    (numerators, d), _ = _power_sums(n)
-    return RationalPolynomial(Fraction(c, d) for c in numerators)
-
-
 def shifted_power_sum_poly(n: int) -> RationalPolynomial:
     """S_n(x) + x^n, the polynomial with value 1^n + ... + x^n at integers.
 

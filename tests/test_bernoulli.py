@@ -37,7 +37,7 @@ def recurrence_oracle(upto: int) -> list[Fraction]:
 
 def fraction_horner_check(poly: RationalPolynomial, n: int, h: int, k: int) -> bool:
     """Integrality of k^n * (poly(h/k) - poly(0)) by rational Horner evaluation."""
-    return ((poly.eval(F(h, k)) - poly.coefficient(0)) * k**n).denominator == 1
+    return ((poly.eval(F(h, k)) - poly.coeffs[0]) * k**n).denominator == 1
 
 
 def test_first_values():
@@ -106,8 +106,8 @@ def test_bernoulli_poly_structure():
     for n in range(61):
         b = bernoulli_poly(n)
         assert b.degree == n
-        assert b.leading_coefficient == 1
-        assert b.coefficient(0) == t.number(n)
+        assert b.coeffs[-1] == 1
+        assert b.coeffs[0] == t.number(n)
 
 
 def test_bernoulli_poly_matches_fresh_table():
@@ -117,7 +117,6 @@ def test_bernoulli_poly_matches_fresh_table():
             [comb(n, n - i) * t.number(n - i) for i in range(n + 1)]
         )
         assert bernoulli_poly(n) == expected
-        assert bernoulli_poly(n) is bernoulli_poly(n)
 
 
 def test_clausen_examples():
@@ -230,6 +229,19 @@ def test_shared_poly_is_scaled_coefficients():
         assert d == lcm(*(c.denominator for c in exact)), f"n={n}"
         assert [F(c, d) for c in numerators] == exact, f"n={n}"
         assert gcd(d, *numerators) == 1, f"n={n}"
+
+
+def test_shared_poly_grows_the_table_once(monkeypatch):
+    # One B_n(x) reads B_0 .. B_n from one growth of the shared table, not one
+    # extend_to call per Bernoulli number.
+    calls = []
+    real = BernoulliTable.extend_to
+    monkeypatch.setattr(
+        BernoulliTable, "extend_to", lambda self, n: calls.append(n) or real(self, n)
+    )
+    bernoulli._shared_poly.cache_clear()
+    bernoulli._shared_poly(40)
+    assert calls == [40]
 
 
 def _scaled(poly: RationalPolynomial) -> tuple[tuple[int, ...], int]:

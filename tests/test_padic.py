@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from powersum_denoms import padic
 from powersum_denoms.padic import (
     DigitExpansion,
-    binomial_valuation,
     digit_sum,
     digits,
     fine_count,
@@ -92,27 +91,6 @@ def test_legendre_against_factorial():
             assert legendre_valuation_factorial(x, p) == _valuation(factorial(x), p)
 
 
-def test_binomial_valuation_examples():
-    for m in (0, 1, 5, 17):
-        assert binomial_valuation(m, 0, 7) == 0
-    assert binomial_valuation(20, 6, 3) == 1
-    assert binomial_valuation(4, 2, 2) == 1
-    with pytest.raises(ValueError):
-        binomial_valuation(5, 6, 3)
-
-
-def test_binomial_valuation_checks_its_base_once(monkeypatch):
-    calls = []
-    monkeypatch.setattr(padic, "is_prime", lambda p: calls.append(p) or is_prime(p))
-    assert binomial_valuation(20, 6, 3) == 1
-    assert calls == [3]
-    with pytest.raises(ValueError, match="binomial index out of range"):
-        binomial_valuation(5, 6, 4)
-    with pytest.raises(ValueError, match="not a prime base: 4"):
-        binomial_valuation(6, 5, 4)
-    assert calls == [3, 4]
-
-
 def test_lucas_examples():
     for m in (0, 3, 50):
         assert lucas_binom_mod(m, 0, 5) == 1
@@ -134,7 +112,7 @@ def test_valuation_zero_iff_lucas_nonzero():
     for p in (2, 3, 5, 7, 11):
         for m in range(50):
             for k in range(m + 1):
-                zero_val = binomial_valuation(m, k, p) == 0
+                zero_val = comb(m, k) % p != 0
                 assert zero_val == (lucas_binom_mod(m, k, p) != 0)
 
 

@@ -17,7 +17,6 @@ from powersum_denoms.powersum import (
     d_n,
     faulhaber_form,
     power_sum_oracle,
-    power_sum_poly,
     q_n_bruteforce,
     shifted_power_sum_poly,
     t_n_poly,
@@ -29,26 +28,33 @@ D_SEQ = [1, 2, 6, 4, 30, 12, 42, 24, 90, 20, 66, 24, 2730, 420, 90, 48, 510]
 Q_SEQ = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
 
 
+def minus_x_to_the(n: int) -> RationalPolynomial:
+    return RationalPolynomial([0] * n + [-1])
+
+
+def unshifted(n: int) -> RationalPolynomial:
+    """S_n(x) = 1^n + ... + (x-1)^n: the shifted power sum less x^n."""
+    return shifted_power_sum_poly(n) + minus_x_to_the(n)
+
+
 def test_power_sum_poly_small():
-    assert power_sum_poly(1).coeffs == (0, F(-1, 2), F(1, 2))
-    assert power_sum_poly(2).coeffs == (0, F(1, 6), F(-1, 2), F(1, 3))
-    with pytest.raises(ValueError):
-        power_sum_poly(0)
+    assert unshifted(1).coeffs == (0, F(-1, 2), F(1, 2))
+    assert unshifted(2).coeffs == (0, F(1, 6), F(-1, 2), F(1, 3))
 
 
 def test_power_sum_poly_structure():
     for n in range(1, 40):
-        s = power_sum_poly(n)
-        assert s.degree == n + 1
-        assert s.coefficient(0) == 0
-        assert s.leading_coefficient == F(1, n + 1)
-        assert s.coefficient(n) == F(-1, 2)
+        cs = shifted_power_sum_poly(n).coeffs
+        assert len(cs) == n + 2
+        assert cs[0] == 0
+        assert cs[-1] == F(1, n + 1)
+        assert cs[n] - 1 == F(-1, 2)  # the x^n coefficient of S_n
 
 
 def test_power_sum_poly_values():
-    assert power_sum_poly(5).eval(3) == 33  # 1^5 + 2^5
+    assert unshifted(5).eval(3) == 33  # 1^5 + 2^5
     for n in range(1, 12):
-        s = power_sum_poly(n)
+        s = unshifted(n)
         for x in range(8):
             assert s.eval(x) == sum(j**n for j in range(1, x))
 
@@ -68,16 +74,17 @@ def test_shifted_power_sum_small():
 
 
 def test_functional_equation():
-    x_to_the = RationalPolynomial.monomial
+    # P(x) - P(x-1) = x^n for P = S_n + x^n: both sides have degree at most
+    # n + 1, so agreement at the n + 2 points 0..n+1 is the identity.
     for n in range(1, 60):
-        assert shifted_power_sum_poly(n) - power_sum_poly(n) == x_to_the(n)
+        p = shifted_power_sum_poly(n)
+        values = [p.eval(x) for x in range(-1, n + 2)]
+        assert [b - a for a, b in zip(values, values[1:])] == [x**n for x in range(n + 2)]
 
 
 def test_shift_leaves_denominator_alone():
     for n in range(1, 120):
-        assert poly_denominator(power_sum_poly(n)) == poly_denominator(
-            shifted_power_sum_poly(n)
-        )
+        assert poly_denominator(unshifted(n)) == poly_denominator(shifted_power_sum_poly(n))
 
 
 def test_oracle_small():
@@ -145,9 +152,9 @@ def test_t_n_poly():
     for n in range(1, 50):
         t = t_n_poly(n)
         assert t.degree == n
-        assert t.leading_coefficient == 1
+        assert t.coeffs[-1] == 1
         # T_n(x) * x = (n+1) * S_n(x)
-        assert t * RationalPolynomial.monomial(1) == power_sum_poly(n) * (n + 1)
+        assert t * RationalPolynomial([0, 1]) == unshifted(n) * (n + 1)
     with pytest.raises(ValueError):
         t_n_poly(0)
 
@@ -175,7 +182,7 @@ def test_faulhaber_form_structure():
 
 
 def test_shared_table_values():
-    assert power_sum_poly(7) == power_sum_oracle(7) - RationalPolynomial.monomial(7)
+    assert unshifted(7) == power_sum_oracle(7) + minus_x_to_the(7)
     assert d_n(12) == 2730
     assert q_n_bruteforce(12) == 210
     assert faulhaber_form(5).denominator == 12
