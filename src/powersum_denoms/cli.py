@@ -13,17 +13,17 @@ and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
 methods and their routes; ``SUITES`` maps each verify suite to a generator
 that yields one item per check: ``None`` when it passes, its failure
 message when it fails, so no message is formatted for a passing check.
-``verify --workers`` deals the agreement suite's indices round-robin over a
-process pool, the one place a pool starts; ``bench`` times each route in the
-calling process.
+Every command runs in the calling process, and none starts a process pool.
+``verify --workers`` is still parsed and still rejects values below 1, and
+has no other effect: the benchmark harness (``perfbench/workloads.py``)
+passes it, and the next change to the harness removes it.
 
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
 ``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula, and
 ``witness``.  ``bernoulli`` and ``powersum``, and with them ``fractions``
 and the polynomial layer, are imported inside the paths that need them: the
-brute routes, ``poly`` and the verify suites.  The process pool is imported
-only when the agreement suite starts a pool of two or more processes.
+brute routes, ``poly`` and the verify suites.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and on an index too large for the memory at hand.
@@ -41,6 +41,7 @@ import sys
 import time
 from collections.abc import Callable, Iterator
 from importlib import import_module
+from math import prod
 
 from . import formulas, padic
 
@@ -184,18 +185,10 @@ def cmd_witness(args: argparse.Namespace) -> int:
 # verify suites
 
 
-def _strides(max_n: int, workers: int) -> list[range]:
-    """0..max_n dealt round-robin into one stride per process: at most
-    --workers, the number of indices, or the CPU count, whichever is least.
-    The routes cost more as n grows, so each stride gets an even share."""
-    count = min(workers, max_n + 1, os.cpu_count() or 1)
-    return [range(i, max_n + 1, count) for i in range(count)]
-
-
 def __getattr__(name: str):
-    # ``concurrent.futures.process`` pulls in ``multiprocessing``, about 20 ms
-    # of start-up that only a pool of two or more processes needs, so the
-    # pool class is imported on first use.
+    # Only perfbench/tracer.py reads ``cli.ProcessPoolExecutor``: it rebinds
+    # it to count pool starts, and no command starts a pool.  Imported on
+    # first read, so no command loads the process machinery.
     if name == "ProcessPoolExecutor":
         from concurrent.futures import ProcessPoolExecutor
 
@@ -203,24 +196,9 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _agreement_rows(indices: range) -> list[tuple[int, tuple[int, ...]]]:
-    return [(n, tuple(route(n) for route in Q_ROUTES.values())) for n in indices]
-
-
-def _suite_agreement(max_n: int, workers: int) -> Iterator[str | None]:
-    strides = _strides(max_n, workers)
-    if len(strides) == 1:
-        rows = _agreement_rows(strides[0])
-    else:
-        # Read as a module attribute, so that a pool class bound on this
-        # module from outside (perfbench's tracer counts pool starts that
-        # way) is used.
-        pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=len(strides)) as pool:
-            parts = list(pool.map(_agreement_rows, strides))
-        # The rows come back stride by stride; the report is in index order.
-        rows = sorted(row for part in parts for row in part)
-    for n, values in rows:
+def _suite_agreement(max_n: int) -> Iterator[str | None]:
+    for n in range(max_n + 1):
+        values = tuple(route(n) for route in Q_ROUTES.values())
         ok = len(set(values)) == 1
         yield None if ok else f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}"
 
@@ -230,7 +208,8 @@ def _suite_clausen(max_n: int) -> Iterator[str | None]:
 
     table = bernoulli.bernoulli_numbers(max_n)
     for n in range(2, max_n + 1, 2):
-        expected = formulas.clausen_denominator(n).value
+        # The von Staudt-Clausen primes of n, shared with the agreement suite.
+        expected = prod(formulas._clausen_primes(n))
         actual = table.number(n).denominator
         yield None if actual == expected else f"denominator of B_{n}: {actual} != {expected}"
 
@@ -296,7 +275,7 @@ def _suite_almkvist(max_n: int) -> Iterator[str | None]:
 
 # Each suite yields one item per check: None, or the check's failure message.
 SUITES = {
-    "agreement": lambda args: _suite_agreement(args.max_n, args.workers),
+    "agreement": lambda args: _suite_agreement(args.max_n),
     "clausen": lambda args: _suite_clausen(args.max_n),
     "hermite": lambda args: _suite_hermite(args.max_n),
     "bounds": lambda args: _suite_bounds(args.max_n),
@@ -403,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run cross-checking suites")
     verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     verify.add_argument("--max-n", dest="max_n", type=int, default=50)
-    verify.add_argument("--workers", type=int, default=1)
+    verify.add_argument("--workers", type=int, default=1, help="no effect: verify runs in one process (to be removed)")
 
     witness = sub.add_parser("witness", help="explain a prime factor of q_n")
     witness.add_argument("--n", type=int, required=True)

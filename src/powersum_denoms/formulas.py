@@ -36,6 +36,7 @@ the unchecked ``SquarefreeProduct._of_sorted_primes``.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import cache
 from math import comb, isqrt, prod
 
 from ._record import Record
@@ -181,6 +182,13 @@ def clausen_denominator(n: int) -> SquarefreeProduct:
     return SquarefreeProduct._of_sorted_primes(sorted(ps))
 
 
+@cache
+def _clausen_primes(k: int) -> tuple[int, ...]:
+    # pset meets the same few k for every m, so their primes are derived once.
+    # clausen_denominator stays uncached: seq streams it over any range.
+    return clausen_denominator(k).primes
+
+
 def pset(m: int, k: int) -> SquarefreeProduct:
     """Primes dividing the denominator of binomial(m, k) * B_k.
 
@@ -196,7 +204,7 @@ def pset(m: int, k: int) -> SquarefreeProduct:
     if k == 1:
         return SquarefreeProduct._of_sorted_primes([2] if m % 2 == 1 else [])
     return SquarefreeProduct._of_sorted_primes(
-        [p for p in clausen_denominator(k).primes if _lucas_binom_mod(m, k, p) != 0]
+        [p for p in _clausen_primes(k) if _lucas_binom_mod(m, k, p) != 0]
     )
 
 

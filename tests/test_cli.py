@@ -5,9 +5,9 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +19,6 @@ from powersum_denoms.cli import (
     SEQUENCES,
     SUITES,
     _format_poly,
-    _strides,
     _suite_hermite,
     main,
 )
@@ -241,6 +240,25 @@ def test_hermite_suite_tests_no_prime_again(monkeypatch):
     assert calls == []
 
 
+def test_verify_derives_each_clausen_prime_set_once(monkeypatch):
+    # The agreement suite's prime sets and the clausen suite read the
+    # von Staudt-Clausen primes of each k from one cache, so formulas tests
+    # each candidate p with p - 1 | k once per k, not once per (m, k).  Only
+    # the calls through formulas' binding are counted.
+    formulas._clausen_primes.cache_clear()
+    calls = []
+    real = formulas.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(formulas, "is_prime", counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(["verify", "--suite", "all", "--max-n", "60"]) == 0
+    assert len(calls) <= 600
+
+
 def test_verify_reports_the_first_five_failures(capsys, monkeypatch):
     # One process: the five-message cap and the failure count, in check order.
     monkeypatch.setattr(bernoulli, "almkvist_meurman_check", lambda n, h, k: h >= 0)
@@ -341,14 +359,15 @@ def test_commands_load_only_the_layers_they_use():
 
 
 def test_cli_loads_process_pool_only_when_a_pool_starts():
-    # Importing the CLI, a one-process verify and a bench leave the process
-    # machinery (about 20 ms of imports) unloaded.
+    # No command starts a pool: importing the CLI, a verify with --workers 2
+    # and a bench leave the process machinery (about 20 ms of imports)
+    # unloaded.
     script = (
         "import sys\n"
         "from powersum_denoms import cli\n"
         "names = {'multiprocessing', 'concurrent.futures.process'}\n"
         "print(sorted(names & set(sys.modules)))\n"
-        "cli.main(['verify', '--suite', 'agreement', '--max-n', '20'])\n"
+        "cli.main(['verify', '--suite', 'agreement', '--max-n', '20', '--workers', '2'])\n"
         "cli.main(['bench', '--max-n', '20', '--method', 'formula'])\n"
         "print(sorted(names & set(sys.modules)))\n"
         "print(cli.ProcessPoolExecutor.__module__)\n"
@@ -363,7 +382,8 @@ def test_cli_loads_process_pool_only_when_a_pool_starts():
 # perfbench's span tracer wraps ``BernoulliTable.extend_to`` and the
 # ``RationalPolynomial`` methods ``eval``, ``__mul__`` and ``__add__``, reads
 # ``bernoulli._shared_poly.cache_info`` and rebinds ``cli.ProcessPoolExecutor``
-# to count pool starts.  Renaming or dropping one breaks traced benchmark runs.
+# to count pool starts, of which there are none: no command starts a pool.
+# Renaming or dropping one breaks traced benchmark runs.
 _TRACER = str(Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
 
 
@@ -385,13 +405,12 @@ def test_tracer_runs_the_cli(tmp_path, argv, expected):
 
 
 def test_tracer_counts_the_pool_it_rebinds(tmp_path):
-    # Six indices over two workers make two spans, so one pool starts when
-    # there are two CPUs or more.
+    # --workers 2 is accepted and starts no pool.
     argv = ("verify", "--suite", "agreement", "--max-n", "5", "--workers", "2")
     proc = _python(_TRACER, "--spans", str(tmp_path / "s"), *argv, timeout=60)
     assert proc.returncode == 0, proc.stderr
     counters = json.loads((tmp_path / "s.json").read_text())["counters"]
-    assert counters.get("cli.pool_starts", 0) == (1 if (os.cpu_count() or 1) > 1 else 0)
+    assert counters.get("cli.pool_starts", 0) == 0
 
 
 def test_tracer_reads_the_bernoulli_cache_statistics():
@@ -399,30 +418,7 @@ def test_tracer_reads_the_bernoulli_cache_statistics():
     assert callable(bernoulli._shared_poly.cache_info)
 
 
-def test_strides_are_capped(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    assert _strides(60, 1) == [range(61)]
-    assert _strides(60, 2) == [range(0, 61, 2), range(1, 61, 2)]
-    assert _strides(60, 10**9) == [range(i, 61, 4) for i in range(4)]
-    assert _strides(2, 10**9) == [range(0, 3, 3), range(1, 3, 3), range(2, 3, 3)]
-    assert _strides(0, 16) == [range(1)]
-    assert _strides(9, 3) == [range(0, 10, 3), range(1, 10, 3), range(2, 10, 3)]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert _strides(60, 8) == [range(61)]
-
-
-def test_strides_deal_every_index_once(monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    for max_n in (0, 1, 2, 7, 60, 61):
-        for workers in (1, 2, 3, 5, 100):
-            dealt = sorted(n for stride in _strides(max_n, workers) for n in stride)
-            assert dealt == list(range(max_n + 1)), (max_n, workers)
-
-
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs for a pool")
 def test_verify_workers_reports_failures_in_index_order(capsys, monkeypatch):
-    # Two strides deal the even indices to one process and the odd to the
-    # other, so unsorted rows would report q_6 before q_3.
     psets = cli.Q_ROUTES["psets"]
     monkeypatch.setitem(cli.Q_ROUTES, "psets", lambda n: psets(n) + (n in (3, 6)))
     code, out, _ = run(
@@ -531,6 +527,26 @@ def test_seq_interrupt_exits_quietly():
     assert err == b""
 
 
+def test_verify_interrupt_sent_to_the_process_alone_exits_at_once():
+    # SIGINT to this one process, not its group (``kill -INT <pid>``): a run
+    # that takes far longer than the wait ends quietly with 130.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powersum_denoms", "verify", "--suite", "agreement",
+         "--max-n", "1500", "--workers", "2"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_checkout_env(),
+    )
+    try:
+        time.sleep(2)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=15)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert (proc.returncode, err) == (130, b"")
+
+
 def test_bench_all_methods_default(capsys):
     code, out, _ = run(capsys, "bench", "--max-n", "15")
     assert code == 0
@@ -538,9 +554,8 @@ def test_bench_all_methods_default(capsys):
 
 
 # The CLI grammar, with values a little past every bound.  Integers stay
-# small; half of them are at or below zero, where the bound checks sit.  A
-# huge --workers must start no more processes than there are CPUs, and the
-# test holds the CPU count at 2.
+# small; half of them are at or below zero, where the bound checks sit.
+# --workers has no effect but its bound check, so a huge one is harmless.
 _INT = st.one_of(st.integers(-3, 0), st.integers(1, 25)).map(str)
 _WORKERS = st.sampled_from(("-1", "0", "1", "2", "1000000"))
 _REQUIRED = {"--to", "--n", "--p"}
@@ -581,11 +596,7 @@ def _argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(_argv())
 def test_cli_exits_0_1_or_2_without_a_traceback(argv):
-    with (
-        mock.patch.object(os, "cpu_count", lambda: 2),
-        redirect_stdout(io.StringIO()),
-        redirect_stderr(io.StringIO()),
-    ):
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
             code = main(argv)
         except SystemExit as exc:
