@@ -10,9 +10,9 @@ Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
 first and raises ``UsageError`` for a bad one.  The commands are tables over
 the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
 and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
-methods and their routes; ``SUITES`` maps each verify suite to a generator
-that yields one item per check: ``None`` when it passes, its failure
-message when it fails, so no message is formatted for a passing check.
+methods and their routes; ``SUITES`` names the verify suites, in order,
+each a generator in ``checks`` that yields one item per check: ``None`` when
+it passes, its failure message when it fails.
 Every command runs in the calling process, and none starts a process pool.
 ``verify --workers`` is still parsed and still rejects values below 1, and
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
@@ -23,7 +23,8 @@ A run imports only what its command uses.  The module itself loads
 ``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula, and
 ``witness``.  ``bernoulli`` and ``powersum``, and with them ``fractions``
 and the polynomial layer, are imported inside the paths that need them: the
-brute routes, ``poly`` and the verify suites.
+brute routes, ``poly`` and the verify suites.  Only ``verify`` loads
+``checks``, and each suite there imports the layers its checks use.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
 and on an index too large for the memory at hand.
@@ -39,15 +40,14 @@ import argparse
 import os
 import sys
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from importlib import import_module
-from math import prod
 
 from . import formulas, padic
 
 
-def _lazy(module: str, name: str) -> Callable[[int], int]:
-    # A route into a module that loads the polynomial layer: imported on the
+def _lazy(module: str, name: str) -> Callable[[int], object]:
+    # A route into a module that only some commands load: imported on the
     # first call, and the function looked up at each call, like the others.
     return lambda n: getattr(import_module(f"{__package__}.{module}"), name)(n)
 
@@ -63,19 +63,10 @@ Q_ROUTES = {
 METHODS = tuple(Q_ROUTES)
 
 
-def _d_via(method: str) -> Callable[[int], int]:
-    return lambda n: (n + 1) * Q_ROUTES[method](n)
-
-
 # Each sequence's methods and their routes, in the order --seq lists them.
-# d_n is (n+1) * q_n by each digit-based q_n route.
+# d_n is (n+1) * q_n by each q_n route.
 SEQ_ROUTES = {
-    "d": {
-        "formula": _d_via("formula"),
-        "epsilon": _d_via("epsilon"),
-        "psets": _d_via("psets"),
-        "brute": _lazy("powersum", "d_n"),
-    },
+    "d": {method: lambda n, q=q: (n + 1) * q(n) for method, q in Q_ROUTES.items()},
     "q": Q_ROUTES,
     "Dclausen": {"formula": lambda n: formulas.clausen_denominator(n).value},
     "Dpoly": {
@@ -172,7 +163,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if p not in q.primes:
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
     w = padic.marble_witness(n + 1, p)
-    residue = padic.lucas_binom_mod(n + 1, w.b, p)
+    residue = padic._lucas_binom_mod(n + 1, w.b, p)
     print(f"n = {n}, p = {p}")
     print(f"q_{n} = {q.value} = {' * '.join(str(f) for f in q.primes)}")
     print(f"j = {w.j}, b = j*(p-1) = {w.b}")
@@ -182,7 +173,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
+# verify
 
 
 def __getattr__(name: str):
@@ -196,91 +187,11 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _suite_agreement(max_n: int) -> Iterator[str | None]:
-    for n in range(max_n + 1):
-        values = tuple(route(n) for route in Q_ROUTES.values())
-        ok = len(set(values)) == 1
-        yield None if ok else f"q_{n}: {'/'.join(Q_ROUTES)} disagree: {values}"
-
-
-def _suite_clausen(max_n: int) -> Iterator[str | None]:
-    from . import bernoulli
-
-    table = bernoulli.bernoulli_numbers(max_n)
-    for n in range(2, max_n + 1, 2):
-        # The von Staudt-Clausen primes of n, shared with the agreement suite.
-        expected = prod(formulas._clausen_primes(n))
-        actual = table.number(n).denominator
-        yield None if actual == expected else f"denominator of B_{n}: {actual} != {expected}"
-
-
-def _suite_hermite(max_n: int) -> Iterator[str | None]:
-    for p in formulas.primes_upto(50):
-        for m in range(1, max_n + 1):
-            ok = formulas._hermite_bachmann_holds(m, p)
-            yield None if ok else f"binomial sum congruence fails at m={m}, p={p}"
-
-
-def _suite_bounds(max_n: int) -> Iterator[str | None]:
-    from . import powersum
-
-    for m in range(3, max_n + 1):
-        top = m - 1 if m % 2 == 1 else m - 2
-        for k in range(2, top + 1, 2):
-            ok = formulas.pset_bound_check(m, k)
-            yield None if ok else f"prime-set bound fails at m={m}, k={k}"
-    for n in range(max_n + 1):
-        d = powersum.d_n(n)
-        q = powersum.q_n_bruteforce(n)
-        yield None if d == (n + 1) * q else f"d_{n} != (n+1) * q_{n}"
-        if n >= 1:
-            yield None if d % 2 == 0 else f"d_{n} is odd"
-        odd = q % 2 == 1
-        ok = odd == ((n + 1) & n == 0)
-        yield None if ok else f"parity of q_{n} disagrees with n+1 being a power of 2"
-        limit = powersum.bound_M(n)
-        for f in powersum._prime_factors(q):
-            yield None if f <= limit else f"prime {f} of q_{n} exceeds the bound"
-
-
-def _suite_witnesses(max_n: int) -> Iterator[str | None]:
-    for n in range(max_n + 1):
-        for p in formulas.q_n_formula(n).primes:
-            if p == 2:
-                continue
-            try:
-                padic.marble_witness(n + 1, p)
-                yield None
-            except (ValueError, ArithmeticError) as exc:
-                yield f"witness failed at n={n}, p={p}: {exc}"
-    for p in formulas.primes_upto(max(2, (max_n + 2) // 3)):
-        if p == 2:
-            continue
-        try:
-            formulas.sharpness_witnesses(p)
-            yield None
-        except ArithmeticError as exc:
-            yield f"sharpness failed at p={p}: {exc}"
-
-
-def _suite_almkvist(max_n: int) -> Iterator[str | None]:
-    from . import bernoulli
-
-    for n in range(max_n + 1):
-        for h in range(-10, 11):
-            for k in range(1, 11):
-                ok = bernoulli.almkvist_meurman_check(n, h, k)
-                yield None if ok else f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}"
-
-
-# Each suite yields one item per check: None, or the check's failure message.
+# Each verify suite, in the order ``--suite all`` runs them: a generator in
+# ``checks`` of one item per check, None or the check's failure message.
 SUITES = {
-    "agreement": lambda args: _suite_agreement(args.max_n),
-    "clausen": lambda args: _suite_clausen(args.max_n),
-    "hermite": lambda args: _suite_hermite(args.max_n),
-    "bounds": lambda args: _suite_bounds(args.max_n),
-    "witnesses": lambda args: _suite_witnesses(args.max_n),
-    "almkvist": lambda args: _suite_almkvist(args.max_n),
+    name: _lazy("checks", name)
+    for name in ("agreement", "clausen", "hermite", "bounds", "witnesses", "almkvist")
 }
 
 
@@ -293,7 +204,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     failed = False
     for name in names:
         checks, failures = 0, []
-        for failure in SUITES[name](args):
+        for failure in SUITES[name](args.max_n):
             checks += 1
             if failure is not None:
                 failures.append(failure)

@@ -122,10 +122,11 @@ def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
         raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
     if n == 1:
         return SquarefreeProduct._of_sorted_primes([2])
-    if n % 2 == 1:
-        return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n, (n + 1) // 2))
-    ps = set(clausen_denominator(n).primes).union(_digit_sum_primes(n, (n + 1) // 3))
-    return SquarefreeProduct._of_sorted_primes(sorted(ps))
+    # The digit-sum primes of n under q_{n-1}'s bound: q_{n-1}'s own search.
+    ps = _digit_sum_primes(n, _prime_limit(n - 1))
+    if n % 2 == 0:
+        ps = sorted(set(clausen_denominator(n).primes).union(ps))
+    return SquarefreeProduct._of_sorted_primes(ps)
 
 
 class EpsilonVector(Record):
@@ -136,10 +137,7 @@ class EpsilonVector(Record):
     exponents: dict[int, int]
 
     def value(self) -> int:
-        v = 1
-        for p, e in self.exponents.items():
-            v *= p**e
-        return v
+        return prod(p for p, e in self.exponents.items() if e)
 
 
 def q_n_epsilon(n: int) -> EpsilonVector:
@@ -272,13 +270,8 @@ def pset_bound_check(m: int, k: int) -> bool:
     if m % 2 == 1:
         if m < 3 or k % 2 != 0 or not 2 <= k <= m - 1:
             raise ValueError(f"bound needs odd m >= 3 and even k in 2..m-1, got m={m}, k={k}")
-        cap3 = False
-    else:
-        if m < 4 or k % 2 != 0 or not 2 <= k <= m - 2:
-            raise ValueError(f"bound needs even m >= 4 and even k in 2..m-2, got m={m}, k={k}")
-        cap3 = True
+    elif m < 4 or k % 2 != 0 or not 2 <= k <= m - 2:
+        raise ValueError(f"bound needs even m >= 4 and even k in 2..m-2, got m={m}, k={k}")
     primes = pset(m, k).primes
-    if not primes:
-        return True
-    top = primes[-1]
-    return top <= k + 1 and (3 * top <= m + 1 if cap3 else 2 * top <= m + 1)
+    # (m+1)/2 or (m+1)/3 is the sharp bound of q_{m-1}.
+    return not primes or primes[-1] <= min(k + 1, _prime_limit(m - 1))

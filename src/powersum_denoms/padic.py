@@ -210,13 +210,14 @@ def marble_witness(m: int, p: int) -> MarbleWitness:
     for i in range(r - 1, -1, -1):
         beta[i] = min(alpha[i], (p - 1) - kept)
         kept += beta[i]
+    while beta[-1] == 0:  # canonical form; the kept digits sum to p - 1 > 0
+        beta.pop()
 
-    b = 0
-    for d in reversed(beta):
-        b = b * p + d
+    beta_digits = DigitExpansion(p, tuple(beta))
+    b = beta_digits.value()
     j = b // (p - 1)
 
-    witness = MarbleWitness(p=p, m=m, j=j, b=b, beta_digits=digits(b, p))
+    witness = MarbleWitness(p=p, m=m, j=j, b=b, beta_digits=beta_digits)
     if (
         witness.beta_digits.digit_sum() != p - 1
         or b % (p - 1) != 0

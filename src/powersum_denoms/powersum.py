@@ -143,9 +143,6 @@ class FaulhaberForm(Record):
     denominator: int
     coeffs: tuple[int, ...]
 
-    def poly(self) -> RationalPolynomial:
-        return RationalPolynomial(Fraction(c, self.denominator) for c in self.coeffs)
-
 
 def faulhaber_form(n: int) -> FaulhaberForm:
     """Write 1^n + ... + x^n over its least common denominator.

@@ -14,14 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from powersum_denoms import bernoulli, cli, formulas, padic
-from powersum_denoms.cli import (
-    METHODS,
-    SEQUENCES,
-    SUITES,
-    _format_poly,
-    _suite_hermite,
-    main,
-)
+from powersum_denoms.checks import hermite as _suite_hermite
+from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _format_poly, main
 from powersum_denoms.exact_poly import RationalPolynomial, content_split
 from powersum_denoms.powersum import faulhaber_form, power_sum_oracle
 
@@ -329,14 +323,15 @@ def test_witness_near_the_miller_rabin_bound_ends_at_once():
 
 def test_commands_load_only_the_layers_they_use():
     # The package import loads no submodule.  The digit-based q_n routes,
-    # Dclausen and Dpoly by formula need neither the Bernoulli and power-sum
-    # layers nor the polynomial code and fractions behind them; poly needs
-    # all of them.  No run loads dataclasses.
+    # Dclausen and Dpoly by formula, and witness need neither the Bernoulli
+    # and power-sum layers nor the polynomial code and fractions behind them;
+    # poly and the brute route in bench need all of them.  Only verify loads
+    # the suites in checks.  No run loads dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
         "heavy = {'fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.powersum',\n"
-        "         'powersum_denoms.exact_poly'}\n"
+        "         'powersum_denoms.exact_poly', 'powersum_denoms.checks', 'dataclasses'}\n"
         "def report(names):\n"
         "    print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
         "report({m for m in sys.modules if m.startswith('powersum_denoms.')} | {'dataclasses'})\n"
@@ -344,9 +339,13 @@ def test_commands_load_only_the_layers_they_use():
         "cli.main(['seq', '--seq', 'q', '--to', '5'])\n"
         "cli.main(['seq', '--seq', 'Dclausen', '--from', '2', '--to', '10'])\n"
         "cli.main(['seq', '--seq', 'Dpoly', '--from', '1', '--to', '12'])\n"
-        "report(heavy | {'dataclasses'})\n"
+        "cli.main(['witness', '--n', '20', '--p', '11'])\n"
+        "report(heavy)\n"
         "cli.main(['poly', '--n', '4'])\n"
-        "report(heavy | {'dataclasses'})\n"
+        "cli.main(['bench', '--max-n', '5'])\n"
+        "report(heavy)\n"
+        "cli.main(['verify', '--suite', 'hermite', '--max-n', '5'])\n"
+        "report(heavy)\n"
     )
     proc = _python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -355,6 +354,8 @@ def test_commands_load_only_the_layers_they_use():
         "[]",
         "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.exact_poly', "
         "'powersum_denoms.powersum']",
+        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
+        "'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
     ]
 
 

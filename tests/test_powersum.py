@@ -9,7 +9,7 @@ from powersum_denoms.bernoulli import (
     almkvist_meurman_check,
     bernoulli_poly_denominator_direct,
 )
-from powersum_denoms.exact_poly import RationalPolynomial, poly_denominator
+from powersum_denoms.exact_poly import RationalPolynomial, content_split, poly_denominator
 from powersum_denoms.padic import is_prime
 from powersum_denoms.powersum import (
     _prime_factors,
@@ -178,7 +178,8 @@ def test_faulhaber_form_structure():
         assert f.denominator == d_n(n)
         assert gcd(*f.coeffs) == 1
         assert sum(f.coeffs) == f.denominator  # value at 1 is 1^n
-        assert f.poly() == shifted_power_sum_poly(n)
+        scale, primitive = content_split(shifted_power_sum_poly(n))
+        assert (scale, primitive.coeffs) == (F(1, f.denominator), f.coeffs)
 
 
 def test_shared_table_values():
