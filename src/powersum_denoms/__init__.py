@@ -61,7 +61,6 @@ _EXPORTS = {
         "power_sum_oracle",
         "q_n_bruteforce",
         "shifted_power_sum_poly",
-        "t_n_poly",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -4,9 +4,9 @@ Provides the shared table of Bernoulli numbers (first kind, B_1 = -1/2),
 Bernoulli polynomials as exact rational polynomials, and the denominator of
 B_n(x) read off its coefficients.  The integrality check
 k^n * (B_n(h/k) - B_n) rounds out the module.  The product formula for that
-denominator, the von Staudt-Clausen denominator and the ``SquarefreeProduct``
-result type live in ``formulas``, which imports nothing from here; all three
-can still be imported from this module.
+denominator and the von Staudt-Clausen denominator live in ``formulas``,
+which imports nothing from here; both can still be imported from this
+module.
 
 The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
 of the Seidel boustrophedon triangle give every even-index B_2k through
@@ -15,7 +15,8 @@ B_2k = (-1)^(k-1) * 2k * A_(2k-1) / (4^k * (4^k - 1)) (Brent and Harvey,
 table needs no rational arithmetic until that last division.  Each B_n(x)
 is cached once as integer numerators over their least common denominator,
 which every program path reads; ``bernoulli_poly`` builds a
-``RationalPolynomial`` view of it on each call.  The caches only ever grow.
+``RationalPolynomial`` view of it on each call, and alone loads
+``exact_poly``.  The caches only ever grow.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb, lcm
 
-from .exact_poly import RationalPolynomial
-from .formulas import SquarefreeProduct, bernoulli_poly_denominator_formula, clausen_denominator
+from .formulas import bernoulli_poly_denominator_formula, clausen_denominator
 
 
 class BernoulliTable:
@@ -102,6 +102,8 @@ def bernoulli_poly(n: int) -> RationalPolynomial:
     """
     if n < 0:
         raise ValueError(f"Bernoulli polynomials are indexed from 0, got {n}")
+    from .exact_poly import RationalPolynomial
+
     numerators, d = _shared_poly(n)
     return RationalPolynomial(Fraction(c, d) for c in numerators)
 

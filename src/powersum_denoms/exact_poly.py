@@ -5,7 +5,9 @@ Faulhaber form and the denominator of B_n(x) are read off the scaled-integer
 B_n(x) of :mod:`powersum_denoms.bernoulli`.  This module checks them and is
 not a general polynomial API: an immutable coefficient vector with ``+``,
 ``*`` and exact evaluation, its denominator and content split, and exact
-interpolation (behind ``powersum.power_sum_oracle``).
+interpolation (behind ``powersum.power_sum_oracle``).  Only the ``Fraction``
+views in ``bernoulli`` and ``powersum`` import it, when called, so no CLI
+command loads it.
 """
 
 from __future__ import annotations

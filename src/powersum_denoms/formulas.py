@@ -25,7 +25,8 @@ sets) live here too.
 The squarefree result type ``SquarefreeProduct`` and the von Staudt-Clausen
 denominator ``clausen_denominator`` live here as well, so this module needs
 nothing from the package but ``padic``: the q_n and B_n(x) formulas load no
-Bernoulli or polynomial code.  ``bernoulli`` imports both from here.
+Bernoulli or polynomial code.  ``bernoulli`` imports the von Staudt-Clausen
+denominator and the B_n(x) formula from here.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
@@ -35,12 +36,11 @@ the unchecked ``SquarefreeProduct._of_sorted_primes``.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from functools import cache
 from math import comb, isqrt, prod
 
 from ._record import Record
-from .padic import _digit_sum, _lucas_binom_mod, is_prime
+from .padic import _digit_sum, _lucas_binom_mod, _require_prime, is_prime
 
 
 class SquarefreeProduct(Record):
@@ -49,14 +49,6 @@ class SquarefreeProduct(Record):
     __slots__ = ("primes", "value")
     primes: tuple[int, ...]
     value: int
-
-    @classmethod
-    def of(cls, primes: Iterable[int]) -> SquarefreeProduct:
-        ps = sorted(set(primes))
-        for p in ps:
-            if not is_prime(p):
-                raise ValueError(f"not a prime factor: {p}")
-        return cls._of_sorted_primes(ps)
 
     @classmethod
     def _of_sorted_primes(cls, primes: list[int]) -> SquarefreeProduct:
@@ -228,8 +220,7 @@ def hermite_bachmann_holds(m: int, p: int) -> bool:
     The congruence holds for every m >= 1 and prime p; the sum is computed
     with exact binomials so the check is independent of the Lucas route.
     """
-    if not is_prime(p):
-        raise ValueError(f"not a prime base: {p}")
+    _require_prime(p)
     if m < 1:
         raise ValueError(f"index must be positive, got {m}")
     return _hermite_bachmann_holds(m, p)

@@ -7,7 +7,9 @@ construction that exhibits a multiple of p - 1 whose binomial coefficient
 survives reduction mod p.
 
 Every public function validates its base: composite or non-positive bases
-raise ValueError up front rather than producing digit garbage.  The
+raise ValueError up front rather than producing digit garbage, and so do
+bases of 3.3 * 10^24 and more, which ``is_prime`` could settle only by trial
+division.  The
 unchecked ``_digit_sum`` and ``_lucas_binom_mod`` are for loops whose bases
 are already known to be prime (sieve output or candidates that passed
 ``is_prime``), so that the check is paid once at the public boundary, not
@@ -66,6 +68,10 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
+    # At and above the bound is_prime falls back to trial division, which
+    # does not end in any useful time, so such a base is refused unread.
+    if p >= _MILLER_RABIN_BOUND:
+        raise ValueError(f"base too large to test for primality: {p}")
     if not is_prime(p):
         raise ValueError(f"not a prime base: {p}")
 

@@ -6,7 +6,8 @@ agree for n >= 1), and q_n = d_n / (n+1) is the squarefree quotient that the
 product formulas in :mod:`powersum_denoms.formulas` reproduce.  Both forms
 are read off the integer numerators of the cached B_{n+1}(x) over one
 denominator, with no ``Fraction`` arithmetic; ``power_sum_oracle``
-interpolates the literal sums in ``Fraction``s, the independent check.
+interpolates the literal sums in ``Fraction``s, the independent check.  It
+and ``shifted_power_sum_poly`` load ``exact_poly`` only when called.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from math import gcd
 
 from ._record import Record
 from .bernoulli import _shared_poly
-from .exact_poly import RationalPolynomial, lagrange_interpolate
 
 
 def _power_sums(n: int) -> list[tuple[list[int], int]]:
@@ -38,6 +38,8 @@ def shifted_power_sum_poly(n: int) -> RationalPolynomial:
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    from .exact_poly import RationalPolynomial
+
     if n == 0:
         return RationalPolynomial([0, 1])
     _, (numerators, d) = _power_sums(n)
@@ -52,6 +54,8 @@ def power_sum_oracle(n: int) -> RationalPolynomial:
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    from .exact_poly import lagrange_interpolate
+
     points = []
     total = 0
     for i in range(n + 2):
@@ -115,20 +119,6 @@ def bound_M(n: int) -> Fraction:
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     return Fraction(n + 2, 2 if n % 2 == 0 else 3)
-
-
-def t_n_poly(n: int) -> RationalPolynomial:
-    """The monic degree-n polynomial (n+1) * S_n(x) / x.
-
-    Its coefficients are binomial(n+1, k) * B_k for k = 0..n, so the common
-    denominator of S_n can be studied one binomial-weighted Bernoulli number
-    at a time.  It is B_{n+1}(x) - B_{n+1} divided by x, so its coefficients
-    are those of the cached B_{n+1}(x) above the constant term.
-    """
-    if n < 1:
-        raise ValueError(f"defined for n >= 1, got {n}")
-    numerators, d = _shared_poly(n + 1)
-    return RationalPolynomial(Fraction(c, d) for c in numerators[1:])
 
 
 class FaulhaberForm(Record):

@@ -6,7 +6,6 @@ import pytest
 from powersum_denoms import bernoulli
 from powersum_denoms.bernoulli import (
     BernoulliTable,
-    SquarefreeProduct,
     almkvist_meurman_check,
     bernoulli_numbers,
     bernoulli_poly,
@@ -84,15 +83,6 @@ def test_recurrence_direct():
     t = bernoulli_numbers(40)
     for n in range(1, 41):
         assert sum(comb(n + 1, k) * t.number(k) for k in range(n + 1)) == 0
-
-
-def test_squarefree_product():
-    sp = SquarefreeProduct.of([5, 2, 3, 2])
-    assert sp.primes == (2, 3, 5)
-    assert sp.value == 30
-    assert SquarefreeProduct.of([]).value == 1
-    with pytest.raises(ValueError, match="not a prime factor"):
-        SquarefreeProduct.of([4])
 
 
 def test_bernoulli_poly_small():

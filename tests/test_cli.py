@@ -198,6 +198,23 @@ def test_witness_prime_beyond_bound_returns_at_once():
     assert proc.stderr == f"error: p is not a factor of q_n (n=5, p={2**89 - 1})\n".encode()
 
 
+def test_base_checks_refuse_a_prime_beyond_bound_at_once():
+    # is_prime settles 2^89 - 1 only by trial division, so the public base
+    # checks refuse it before they test it.
+    script = (
+        "from powersum_denoms import digit_sum, fine_count, hermite_bachmann_holds\n"
+        "for f in (digit_sum, fine_count, hermite_bachmann_holds):\n"
+        "    try:\n"
+        "        f(5, 2**89 - 1)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    proc = _python("-c", script, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    message = f"base too large to test for primality: {2**89 - 1}"
+    assert proc.stdout.decode().splitlines() == [message] * 3
+
+
 def _cap_address_space():
     # Runs in the child only: 512 MiB of address space, far below the sieve
     # that an index near 10^20 asks for.
@@ -324,9 +341,11 @@ def test_witness_near_the_miller_rabin_bound_ends_at_once():
 def test_commands_load_only_the_layers_they_use():
     # The package import loads no submodule.  The digit-based q_n routes,
     # Dclausen and Dpoly by formula, and witness need neither the Bernoulli
-    # and power-sum layers nor the polynomial code and fractions behind them;
-    # poly and the brute route in bench need all of them.  Only verify loads
-    # the suites in checks.  No run loads dataclasses.
+    # and power-sum layers nor the fractions behind them; poly and the brute
+    # route in bench need all of them.  Only verify loads the suites in
+    # checks.  No command loads the polynomial oracle in exact_poly: only the
+    # Fraction views such as shifted_power_sum_poly do.  No run loads
+    # dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
@@ -346,13 +365,17 @@ def test_commands_load_only_the_layers_they_use():
         "report(heavy)\n"
         "cli.main(['verify', '--suite', 'hermite', '--max-n', '5'])\n"
         "report(heavy)\n"
+        "from powersum_denoms import powersum\n"
+        "powersum.shifted_power_sum_poly(3)\n"
+        "report(heavy)\n"
     )
     proc = _python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.decode().splitlines() == [
         "[]",
         "[]",
-        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.exact_poly', "
+        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.powersum']",
+        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
         "'powersum_denoms.powersum']",
         "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
         "'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",

@@ -19,7 +19,6 @@ from powersum_denoms.powersum import (
     power_sum_oracle,
     q_n_bruteforce,
     shifted_power_sum_poly,
-    t_n_poly,
 )
 
 F = Fraction
@@ -144,19 +143,6 @@ def test_bound_M():
     assert bound_M(3) == F(5, 3)
     with pytest.raises(ValueError):
         bound_M(-1)
-
-
-def test_t_n_poly():
-    assert t_n_poly(1).coeffs == (-1, 1)
-    assert t_n_poly(2).coeffs == (F(1, 2), F(-3, 2), 1)
-    for n in range(1, 50):
-        t = t_n_poly(n)
-        assert t.degree == n
-        assert t.coeffs[-1] == 1
-        # T_n(x) * x = (n+1) * S_n(x)
-        assert t * RationalPolynomial([0, 1]) == unshifted(n) * (n + 1)
-    with pytest.raises(ValueError):
-        t_n_poly(0)
 
 
 def test_faulhaber_form_examples():
