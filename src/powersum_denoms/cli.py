@@ -27,8 +27,9 @@ the verify suites.  Only ``verify`` loads ``checks``, and each suite there
 imports the layers its checks use.  No command loads ``exact_poly``, the
 tests' polynomial oracle.
 
-Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors
-and on an index too large for the memory at hand.
+Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
+on an input the library refuses, and on an index too large for the memory
+at hand.
 A reader that closes the output pipe early ends the run quietly with 0, and
 an interrupt (Ctrl-C) ends it quietly with 130.
 All output except timings is deterministic; ``seq`` writes each value as
@@ -78,7 +79,7 @@ SEQ_ROUTES = {
 SEQUENCES = tuple(SEQ_ROUTES)
 
 
-class UsageError(Exception):
+class UsageError(ValueError):
     pass
 
 
@@ -152,14 +153,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
     n, p = args.n, args.p
     if n < 0:
         raise UsageError(f"--n must be nonnegative, got {n}")
-    # A prime above the sharp bound never divides q_n.  Below it, p is tested
-    # for primality only when it is not one of q_n's primes: that test falls
-    # back to trial division for p near 10^25, while an n that large ends at
-    # once with an out-of-memory error from q_n's sieve.
+    # A prime above the sharp bound never divides q_n.
     if p > formulas._prime_limit(n):
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
     q = formulas.q_n_formula(n)
-    if p == 2 or (p not in q.primes and not padic.is_prime(p)):
+    if p == 2 or not padic.is_prime(p):
         raise UsageError(f"--p must be an odd prime, got {p}")
     if p not in q.primes:
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
@@ -326,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
+    except ValueError as exc:
+        # A bad flag, or an input the library refuses.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

@@ -8,17 +8,16 @@ survives reduction mod p.
 
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage, and so do
-bases of 3.3 * 10^24 and more, which ``is_prime`` could settle only by trial
-division.  The
-unchecked ``_digit_sum`` and ``_lucas_binom_mod`` are for loops whose bases
-are already known to be prime (sieve output or candidates that passed
-``is_prime``), so that the check is paid once at the public boundary, not
-once per digit sum or residue.
+the bases of 3.3 * 10^24 and more that ``is_prime`` refuses.  The unchecked
+``_digit_sum`` and ``_lucas_binom_mod`` are for loops whose bases are already
+known to be prime (sieve output or candidates that passed ``is_prime``), so
+that the check is paid once at the public boundary, not once per digit sum or
+residue.
 
 ``is_prime`` is the package's one primality test: trial division by the
 primes up to 41, then a deterministic Miller-Rabin test with those same
-thirteen bases, which is exact below 3.3 * 10^24; larger inputs fall back
-to trial division.
+thirteen bases, which is exact below 3.3 * 10^24.  A larger input that no
+prime up to 41 divides is refused with ValueError.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: deterministic Miller-Rabin below 3.3 * 10^24, trial
-    division above."""
+    """Primality of n: deterministic Miller-Rabin below 3.3 * 10^24; at and
+    above it, ValueError unless a prime up to 41 divides n."""
     if n < 2:
         return False
     for p in _BASES:
@@ -45,12 +44,7 @@ def is_prime(n: int) -> bool:
     if n < 43 * 43:
         return True
     if n >= _MILLER_RABIN_BOUND:
-        f = 43
-        while f * f <= n:
-            if n % f == 0:
-                return False
-            f += 2
-        return True
+        raise ValueError(f"base too large to test for primality: {n}")
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
@@ -68,10 +62,6 @@ def is_prime(n: int) -> bool:
 
 
 def _require_prime(p: int) -> None:
-    # At and above the bound is_prime falls back to trial division, which
-    # does not end in any useful time, so such a base is refused unread.
-    if p >= _MILLER_RABIN_BOUND:
-        raise ValueError(f"base too large to test for primality: {p}")
     if not is_prime(p):
         raise ValueError(f"not a prime base: {p}")
 

@@ -199,8 +199,8 @@ def test_witness_prime_beyond_bound_returns_at_once():
 
 
 def test_base_checks_refuse_a_prime_beyond_bound_at_once():
-    # is_prime settles 2^89 - 1 only by trial division, so the public base
-    # checks refuse it before they test it.
+    # 2^89 - 1 is a prime past the Miller-Rabin bound, which is_prime refuses,
+    # and each public base check passes the refusal on.
     script = (
         "from powersum_denoms import digit_sum, fine_count, hermite_bachmann_holds\n"
         "for f in (digit_sum, fine_count, hermite_bachmann_holds):\n"
@@ -213,6 +213,32 @@ def test_base_checks_refuse_a_prime_beyond_bound_at_once():
     assert proc.returncode == 0, proc.stderr
     message = f"base too large to test for primality: {2**89 - 1}"
     assert proc.stdout.decode().splitlines() == [message] * 3
+
+
+def test_unguarded_primality_callers_refuse_past_the_bound_at_once():
+    # psi_13 is the Miller-Rabin bound, 2^89 - 1 a prime past it, and the
+    # von Staudt-Clausen primes of psi_13 - 1 include psi_13 itself.
+    psi_13 = 3317044064679887385961981
+    script = (
+        "from powersum_denoms.formulas import clausen_denominator, sharpness_witnesses\n"
+        "from powersum_denoms.padic import is_prime\n"
+        f"for f, x in ((is_prime, {psi_13}), (sharpness_witnesses, 2**89 - 1),\n"
+        f"             (clausen_denominator, {psi_13 - 1})):\n"
+        "    try:\n"
+        "        f(x)\n"
+        "    except ValueError as e:\n"
+        "        print(e)\n"
+    )
+    proc = _python("-c", script, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        f"base too large to test for primality: {x}" for x in (psi_13, 2**89 - 1, psi_13)
+    ]
+    argv = ("seq", "--seq", "Dclausen", "--from", str(psi_13 - 1), "--to", str(psi_13 - 1))
+    proc = _python("-m", "powersum_denoms", *argv, timeout=20)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr == f"error: base too large to test for primality: {psi_13}\n".encode()
 
 
 def _cap_address_space():
@@ -328,9 +354,9 @@ def test_input_past_4300_digits_is_still_a_usage_error():
 
 
 def test_witness_near_the_miller_rabin_bound_ends_at_once():
-    # p is a prime just above psi_13 and within the sharp bound, where is_prime
-    # falls back to trial division up to sqrt(p).  q_n comes first, so its
-    # sieve, far beyond the capped address space, ends the run instead.
+    # p is a prime just above psi_13 and within the sharp bound, so is_prime
+    # would refuse it.  q_n comes first, so its sieve, far beyond the capped
+    # address space, ends the run before p is tested.
     argv = ("witness", "--n", str(10**25), "--p", "3317044064679887385962123")
     proc = _python("-m", "powersum_denoms", *argv, timeout=20, preexec_fn=_cap_address_space)
     assert proc.returncode == 2
@@ -453,6 +479,38 @@ def test_verify_workers_reports_failures_in_index_order(capsys, monkeypatch):
         "agreement: FAIL (2 of 9 checks)",
         "  q_3: formula/epsilon/psets/brute disagree: (1, 1, 2, 1)",
         "  q_6: formula/epsilon/psets/brute disagree: (6, 6, 7, 6)",
+    ]
+
+
+def test_bench_reports_disagreeing_routes(capsys, monkeypatch):
+    psets = cli.Q_ROUTES["psets"]
+    monkeypatch.setitem(cli.Q_ROUTES, "psets", lambda n: psets(n) + (n == 8))
+    code, out, err = run(capsys, "bench", "--max-n", "8")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "verification failure: method 'psets' disagrees with 'formula' over n = 0..8\n"
+    )
+
+
+def test_verify_witnesses_reports_both_kinds_of_failure(capsys, monkeypatch):
+    def no_witness(m, p):
+        raise ValueError("no witness")
+
+    def not_sharp(p):
+        raise ArithmeticError("not sharp")
+
+    monkeypatch.setattr(padic, "marble_witness", no_witness)
+    monkeypatch.setattr(formulas, "sharpness_witnesses", not_sharp)
+    code, out, _ = run(capsys, "verify", "--suite", "witnesses", "--max-n", "8")
+    assert code == 1
+    assert out.splitlines() == [
+        "witnesses: FAIL (5 of 5 checks)",
+        "  witness failed at n=4, p=3: no witness",
+        "  witness failed at n=6, p=3: no witness",
+        "  witness failed at n=7, p=3: no witness",
+        "  witness failed at n=8, p=5: no witness",
+        "  sharpness failed at p=3: not sharp",
     ]
 
 

@@ -52,6 +52,17 @@ def test_is_prime_large():
     assert not is_prime((2**31 - 1) ** 2)
 
 
+def test_is_prime_refuses_at_the_miller_rabin_bound():
+    # psi_13 is a strong pseudoprime to all 13 bases, so only the bound keeps
+    # is_prime from calling it prime.  Below the bound, and for inputs with a
+    # prime factor up to 41, it still answers.
+    psi_13 = 3317044064679887385961981
+    with pytest.raises(ValueError, match=f"^base too large to test for primality: {psi_13}$"):
+        is_prime(psi_13)
+    assert not is_prime(psi_13 - 2)
+    assert not is_prime(2**100)
+
+
 def test_digits_examples():
     assert digits(0, 5).digits == ()
     assert digits(20, 3).digits == (2, 0, 2)

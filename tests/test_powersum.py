@@ -4,12 +4,13 @@ from math import prod
 import pytest
 
 import powersum_denoms
-from powersum_denoms import bernoulli, cli, exact_poly, powersum
+from powersum_denoms import bernoulli, cli, exact_poly, padic, powersum
 from powersum_denoms.bernoulli import (
     almkvist_meurman_check,
     bernoulli_poly_denominator_direct,
 )
 from powersum_denoms.exact_poly import RationalPolynomial, content_split, poly_denominator
+from powersum_denoms.formulas import q_n_epsilon, q_n_formula, q_n_via_psets
 from powersum_denoms.padic import is_prime
 from powersum_denoms.powersum import (
     _prime_factors,
@@ -202,8 +203,34 @@ def test_program_paths_do_no_fraction_polynomial_arithmetic(monkeypatch, capsys)
     )
 
 
-@pytest.mark.parametrize("function", [d_n, q_n_bruteforce, shifted_power_sum_poly])
+@pytest.mark.parametrize(
+    "function",
+    [
+        d_n,
+        q_n_bruteforce,
+        shifted_power_sum_poly,
+        power_sum_oracle,
+        q_n_formula,
+        q_n_epsilon,
+        q_n_via_psets,
+    ],
+)
 @pytest.mark.parametrize("n", [-1, -2])
 def test_negative_index_is_a_value_error(function, n):
     with pytest.raises(ValueError, match=f"^index must be nonnegative, got {n}$"):
         function(n)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bernoulli.bernoulli_poly(-1), "Bernoulli polynomials are indexed from 0, got -1"),
+        (lambda: almkvist_meurman_check(-1, 0, 1), "index must be nonnegative, got -1"),
+        (lambda: padic.digit_sum(-1, 3), "digit sum needs a nonnegative integer, got -1"),
+        (lambda: padic.lucas_binom_mod(-1, 0, 3), "binomial indices must be nonnegative: m=-1, k=0"),
+        (lambda: padic.fine_count(-1, 3), "row index must be nonnegative, got -1"),
+    ],
+)
+def test_negative_argument_is_a_value_error(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
