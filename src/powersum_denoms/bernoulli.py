@@ -8,42 +8,44 @@ denominator and the von Staudt-Clausen denominator live in ``formulas``,
 which imports nothing from here; both can still be imported from this
 module.
 
-The Bernoulli numbers come from integers only: the zigzag (tangent) numbers
-of the Seidel boustrophedon triangle give every even-index B_2k through
-B_2k = (-1)^(k-1) * 2k * A_(2k-1) / (4^k * (4^k - 1)) (Brent and Harvey,
-"Fast computation of Bernoulli, tangent and secant numbers", 2011), so the
-table needs no rational arithmetic until that last division.  Each B_n(x)
-is cached once as integer numerators over their least common denominator,
-which every program path reads; ``bernoulli_poly`` builds a
-``RationalPolynomial`` view of it on each call, and alone loads
-``exact_poly``.  The caches only ever grow.
+Everything here is integer arithmetic.  The tangent numbers T_k = A_(2k-1)
+come from one column of the tangent-number triangle at a time (Brent and
+Harvey, "Fast computation of Bernoulli, tangent and secant numbers", 2011),
+and each gives B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)), kept as a
+(numerator, denominator) pair reduced by their gcd.  Each B_n(x) is cached
+once as integer numerators over their least common denominator, built from
+those pairs, and every program path reads that form.  ``Fraction`` is loaded
+only by the views that return one: ``BernoulliTable.number`` and
+``bernoulli_poly``, which also loads ``exact_poly``.  The caches only ever
+grow.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .formulas import bernoulli_poly_denominator_formula, clausen_denominator
 
 
 class BernoulliTable:
-    """Exact Bernoulli numbers B_0 .. B_max_n.
+    """Exact Bernoulli numbers B_0 .. B_max_n, as integer pairs.
 
     B_1 = -1/2, the odd indices above 1 are 0, and each even index 2k >= 2
-    is read off the zigzag number A_(2k-1), the last entry of row 2k - 1 of
-    the Seidel boustrophedon triangle.  Only the last row is kept: the next
-    one is 0 followed by the running sums of the last row reversed, one pass
-    of integer additions, so the table grows one index at a time as cheaply
-    as in one go.  The internal list only ever grows, so values already
-    handed out never change.
+    is read off the tangent number T_k, the last entry of column k of the
+    tangent-number triangle.  Column k has k entries: c_1 = (k-1) * c'_1 and
+    c_i = (k-i) * c'_i + (k-i+2) * c_(i-1) for 2 <= i <= k, where c' is
+    column k - 1.  Only the last column is kept, so the table grows one
+    index at a time as cheaply as in one go.  Each value is held as
+    (numerator, denominator) in lowest terms, reduced by their gcd alone so
+    that von Staudt-Clausen stays a check on the table, not an input to it.
+    The internal list only ever grows, so values already handed out never
+    change.
     """
 
     def __init__(self, upto: int = 0) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
-        self._row: list[int] = [1]  # row 0 of the Seidel triangle
+        self._values: list[tuple[int, int]] = [(1, 1)]
+        self._column: list[int] = [1]  # column 1 of the tangent-number triangle
         self.extend_to(upto)
 
     @property
@@ -54,22 +56,29 @@ class BernoulliTable:
         while len(self._values) <= n:
             m = len(self._values)
             if m % 2 == 1:
-                self._values.append(Fraction(-1, 2) if m == 1 else Fraction(0))
+                self._values.append((-1, 2) if m == 1 else (0, 1))
                 continue
-            while len(self._row) < m:
-                self._row = list(accumulate(reversed(self._row), initial=0))
             k = m // 2
+            if k > 1:
+                last = self._column
+                column = [(k - 1) * last[0]]
+                for i, c in enumerate(last[1:], start=2):
+                    column.append((k - i) * c + (k - i + 2) * column[-1])
+                column.append(2 * column[-1])  # c_k, where c'_k does not exist
+                self._column = column
             four_k = 4**k
-            self._values.append(
-                Fraction((-1) ** (k - 1) * m * self._row[-1], four_k * (four_k - 1))
-            )
+            num, den = (-1) ** (k - 1) * m * self._column[-1], four_k * (four_k - 1)
+            g = gcd(num, den)
+            self._values.append((num // g, den // g))
 
     def number(self, n: int) -> Fraction:
         """B_n, extending the table as needed."""
         if n < 0:
             raise ValueError(f"Bernoulli numbers are indexed from 0, got {n}")
+        from fractions import Fraction
+
         self.extend_to(n)
-        return self._values[n]
+        return Fraction(*self._values[n])
 
 
 _SHARED = BernoulliTable()
@@ -85,13 +94,24 @@ def bernoulli_numbers(upto: int) -> BernoulliTable:
 def _shared_poly(n: int) -> tuple[tuple[int, ...], int]:
     # B_n(x) as (numerators, D): numerators[i] / D is the coefficient of x^i,
     # and D is the least common denominator, so gcd(D, *numerators) == 1.
-    # The term binomial(n, k) * B_k sits at x^(n-k); it is zero for odd k >= 3.
-    # B_n .. B_0 read after one growth of the table: ``number`` would call
-    # ``extend_to`` again for each of them.
-    bs = bernoulli_numbers(n)._values[n::-1]
-    terms = [Fraction(comb(n, i) * b.numerator, b.denominator) for i, b in enumerate(bs)]
-    d = lcm(*(t.denominator for t in terms))
-    return tuple(t.numerator * (d // t.denominator) for t in terms), d
+    # The term binomial(n, k) * B_k sits at x^(n-k).  With B_k = a / b in
+    # lowest terms and g = gcd(binomial(n, k), b), the term is
+    # (binomial(n, k) / g) * a over e = b / g, again in lowest terms, so D is
+    # the lcm of the e.  B_n .. B_0 are read after one growth of the table:
+    # ``number`` would call ``extend_to`` again for each of them.
+    values = bernoulli_numbers(n)._values
+    terms = []
+    for k in range(n + 1):
+        a, b = values[k]
+        if a:
+            c = comb(n, k)
+            g = gcd(c, b)
+            terms.append((n - k, c // g * a, b // g))
+    d = lcm(*(e for _, _, e in terms))
+    numerators = [0] * (n + 1)
+    for i, a, e in terms:
+        numerators[i] = a * (d // e)
+    return tuple(numerators), d
 
 
 def bernoulli_poly(n: int) -> RationalPolynomial:
@@ -102,6 +122,8 @@ def bernoulli_poly(n: int) -> RationalPolynomial:
     """
     if n < 0:
         raise ValueError(f"Bernoulli polynomials are indexed from 0, got {n}")
+    from fractions import Fraction
+
     from .exact_poly import RationalPolynomial
 
     numerators, d = _shared_poly(n)
@@ -120,9 +142,10 @@ def almkvist_meurman_check(n: int, h: int, k: int) -> bool:
 
     The identity holds for every n >= 0, integer h, and k >= 1.  With the
     cached integer numerators c_i of B_n(x) over their common denominator D,
-    the value times D is sum(c_i * h^i * k^(n-i) for 1 <= i <= n), so the
-    check is that sum mod D, by homogeneous Horner in integers, independent
-    of the rational evaluation of B_n(x).
+    the value times D is sum(c_i * h^i * k^(n-i) for 1 <= i <= n).  The
+    check computes that sum exactly, by homogeneous Horner in integers, and
+    reduces it mod D once at the end, independent of the rational
+    evaluation of B_n(x).
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")

@@ -21,11 +21,11 @@ passes it, and the next change to the harness removes it.
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
 ``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula, and
-``witness``.  ``bernoulli`` and ``powersum``, and with them ``fractions``,
-are imported inside the paths that need them: the brute routes, ``poly`` and
-the verify suites.  Only ``verify`` loads ``checks``, and each suite there
-imports the layers its checks use.  No command loads ``exact_poly``, the
-tests' polynomial oracle.
+``witness``.  ``bernoulli`` and ``powersum`` are imported inside the paths
+that need them: the brute routes, ``poly`` and the verify suites.  Only
+``verify`` loads ``checks``, and each suite there imports the layers its
+checks use.  No command loads ``fractions`` or ``exact_poly``, the tests'
+polynomial oracle.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on an input the library refuses, and on an index too large for the memory

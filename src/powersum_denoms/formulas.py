@@ -6,9 +6,9 @@ Three independent routes, all returning the same squarefree number:
 * digit-sum criterion: q_n is the product of the primes p up to the sharp
   bound whose base-p digit sum of n+1 is at least p;
 * exponent vector: each prime up to the bound contributes exponent 0 or 1,
-  decided by a divisibility test plus a run of Lucas residues;
+  decided by a divisibility test plus a run of Lucas zero tests;
 * prime sets: the denominator of binomial(n+1, k) * B_k is a product of
-  primes determined by k and a single binomial residue, and q_n is the
+  primes determined by k and a single Lucas zero test, and q_n is the
   union of those sets over k.
 
 The digit-sum route is the one that scales to very large n: it costs
@@ -30,7 +30,7 @@ denominator and the B_n(x) formula from here.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
-``padic._digit_sum`` and ``padic._lucas_binom_mod`` and build results with
+``padic._digit_sum`` and ``padic._lucas_nonzero`` and build results with
 the unchecked ``SquarefreeProduct._of_sorted_primes``.
 """
 
@@ -40,7 +40,7 @@ from functools import cache
 from math import comb, isqrt, prod
 
 from ._record import Record
-from .padic import _digit_sum, _lucas_binom_mod, _require_prime, is_prime
+from .padic import _digit_sum, _lucas_nonzero, _require_prime, is_prime
 
 
 class SquarefreeProduct(Record):
@@ -139,7 +139,7 @@ def q_n_epsilon(n: int) -> EpsilonVector:
     drops out exactly when p does not divide n+2 and p divides
     binomial(n+1, j*(p-1)) for every j from 2 through n // (p-1) - 1; the
     j = 1 case is equivalent to the divisibility test and the top j follows
-    from the others by a congruence, so neither needs its own residue.
+    from the others by a congruence, so neither needs its own Lucas test.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
@@ -149,9 +149,8 @@ def q_n_epsilon(n: int) -> EpsilonVector:
         if p == 2:
             drop = m & (m - 1) == 0
         else:
-            drop = (n + 2) % p != 0 and all(
-                _lucas_binom_mod(m, j * (p - 1), p) == 0
-                for j in range(2, n // (p - 1))
+            drop = (n + 2) % p != 0 and not any(
+                _lucas_nonzero(m, j * (p - 1), p) for j in range(2, n // (p - 1))
             )
         exponents[p] = 0 if drop else 1
     return EpsilonVector(n=n, exponents=exponents)
@@ -194,7 +193,7 @@ def pset(m: int, k: int) -> SquarefreeProduct:
     if k == 1:
         return SquarefreeProduct._of_sorted_primes([2] if m % 2 == 1 else [])
     return SquarefreeProduct._of_sorted_primes(
-        [p for p in _clausen_primes(k) if _lucas_binom_mod(m, k, p) != 0]
+        [p for p in _clausen_primes(k) if _lucas_nonzero(m, k, p)]
     )
 
 

@@ -9,10 +9,12 @@ survives reduction mod p.
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage, and so do
 the bases of 3.3 * 10^24 and more that ``is_prime`` refuses.  The unchecked
-``_digit_sum`` and ``_lucas_binom_mod`` are for loops whose bases are already
-known to be prime (sieve output or candidates that passed ``is_prime``), so
-that the check is paid once at the public boundary, not once per digit sum or
-residue.
+``_digit_sum``, ``_lucas_binom_mod`` and ``_lucas_nonzero`` are for loops
+whose bases are already known to be prime (sieve output or candidates that
+passed ``is_prime``), so that the check is paid once at the public boundary,
+not once per digit sum or residue.  ``_lucas_nonzero`` serves the callers
+that only compare the residue with 0: it tests digit dominance and forms no
+binomial.
 
 ``is_prime`` is the package's one primality test: trial division by the
 primes up to 41, then a deterministic Miller-Rabin test with those same
@@ -147,6 +149,21 @@ def _lucas_binom_mod(m: int, k: int, p: int) -> int:
     return r
 
 
+def _lucas_nonzero(m: int, k: int, p: int) -> bool:
+    # Whether binomial(m, k) is nonzero mod p, without the residue: each
+    # digit factor binomial(dm, dk) with dk <= dm < p is a unit mod p, so
+    # only digit dominance matters.  m, k >= 0 and p prime are the caller's
+    # to ensure.
+    if k > m:
+        return False
+    while k:
+        m, dm = divmod(m, p)
+        k, dk = divmod(k, p)
+        if dk > dm:
+            return False
+    return True
+
+
 def fine_count(m: int, p: int) -> int:
     """Number of k in 0..m with binomial(m, k) not divisible by p.
 
@@ -218,7 +235,7 @@ def marble_witness(m: int, p: int) -> MarbleWitness:
         witness.beta_digits.digit_sum() != p - 1
         or b % (p - 1) != 0
         or not 1 <= j <= (m - 1) // (p - 1)
-        or _lucas_binom_mod(m, b, p) == 0
+        or not _lucas_nonzero(m, b, p)
     ):
         raise ArithmeticError(f"witness construction failed for m={m}, p={p}")
     return witness

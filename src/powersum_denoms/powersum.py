@@ -7,12 +7,12 @@ product formulas in :mod:`powersum_denoms.formulas` reproduce.  Both forms
 are read off the integer numerators of the cached B_{n+1}(x) over one
 denominator, with no ``Fraction`` arithmetic; ``power_sum_oracle``
 interpolates the literal sums in ``Fraction``s, the independent check.  It
-and ``shifted_power_sum_poly`` load ``exact_poly`` only when called.
+and ``shifted_power_sum_poly`` load ``exact_poly`` only when called, and
+they and ``bound_M`` are the only functions here that load ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from ._record import Record
@@ -38,6 +38,8 @@ def shifted_power_sum_poly(n: int) -> RationalPolynomial:
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    from fractions import Fraction
+
     from .exact_poly import RationalPolynomial
 
     if n == 0:
@@ -118,6 +120,8 @@ def bound_M(n: int) -> Fraction:
     for odd n."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
+    from fractions import Fraction
+
     return Fraction(n + 2, 2 if n % 2 == 0 else 3)
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm
 
 import pytest
@@ -31,6 +32,24 @@ def recurrence_oracle(upto: int) -> list[Fraction]:
             continue
         s = sum(comb(m + 1, k) * values[k] for k in range(m))
         values.append(-s / (m + 1))
+    return values
+
+
+def seidel_oracle(upto: int) -> list[Fraction]:
+    """B_0 .. B_upto from the zigzag numbers A_(2k-1), each the last entry of
+    row 2k - 1 of the Seidel boustrophedon triangle, in Fractions: the route
+    the tangent-number columns replaced."""
+    values = [F(1)]
+    row = [1]  # row 0 of the Seidel triangle
+    for m in range(1, upto + 1):
+        if m % 2 == 1:
+            values.append(F(-1, 2) if m == 1 else F(0))
+            continue
+        while len(row) < m:
+            row = list(accumulate(reversed(row), initial=0))
+        k = m // 2
+        four_k = 4**k
+        values.append(F((-1) ** (k - 1) * m * row[-1], four_k * (four_k - 1)))
     return values
 
 
@@ -76,6 +95,20 @@ def test_table_matches_recurrence_oracle():
         grown.extend_to(n)
         assert grown.max_n == n
         assert grown.number(n) == oracle[n], f"n={n}"
+
+
+def test_table_matches_seidel_oracle():
+    oracle = seidel_oracle(1500)
+    one_shot = BernoulliTable(1500)
+    assert [one_shot.number(n) for n in range(1501)] == oracle
+    grown = BernoulliTable()
+    for n in range(1501):
+        grown.extend_to(n)
+        assert grown.max_n == n
+        assert grown.number(n) == oracle[n], f"n={n}"
+    jumped = BernoulliTable(700)
+    jumped.extend_to(1500)
+    assert [jumped.number(n) for n in range(1501)] == oracle
 
 
 def test_recurrence_direct():

@@ -367,11 +367,10 @@ def test_witness_near_the_miller_rabin_bound_ends_at_once():
 def test_commands_load_only_the_layers_they_use():
     # The package import loads no submodule.  The digit-based q_n routes,
     # Dclausen and Dpoly by formula, and witness need neither the Bernoulli
-    # and power-sum layers nor the fractions behind them; poly and the brute
-    # route in bench need all of them.  Only verify loads the suites in
-    # checks.  No command loads the polynomial oracle in exact_poly: only the
-    # Fraction views such as shifted_power_sum_poly do.  No run loads
-    # dataclasses.
+    # nor the power-sum layer; poly and the brute route in bench need both.
+    # Only verify loads the suites in checks.  No command loads fractions or
+    # the polynomial oracle in exact_poly: only the Fraction views such as
+    # shifted_power_sum_poly do.  No run loads dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
@@ -390,6 +389,7 @@ def test_commands_load_only_the_layers_they_use():
         "cli.main(['bench', '--max-n', '5'])\n"
         "report(heavy)\n"
         "cli.main(['verify', '--suite', 'hermite', '--max-n', '5'])\n"
+        "cli.main(['verify', '--suite', 'all', '--max-n', '8'])\n"
         "report(heavy)\n"
         "from powersum_denoms import powersum\n"
         "powersum.shifted_power_sum_poly(3)\n"
@@ -400,9 +400,8 @@ def test_commands_load_only_the_layers_they_use():
     assert proc.stderr.decode().splitlines() == [
         "[]",
         "[]",
-        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.powersum']",
-        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
-        "'powersum_denoms.powersum']",
+        "['powersum_denoms.bernoulli', 'powersum_denoms.powersum']",
+        "['powersum_denoms.bernoulli', 'powersum_denoms.checks', 'powersum_denoms.powersum']",
         "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
         "'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
     ]

@@ -127,6 +127,14 @@ def test_valuation_zero_iff_lucas_nonzero():
                 assert zero_val == (lucas_binom_mod(m, k, p) != 0)
 
 
+def test_lucas_nonzero_against_comb():
+    # The digit-dominance test, k > m included, against exact binomials.
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(200):
+            for k in range(200):
+                assert padic._lucas_nonzero(m, k, p) == (comb(m, k) % p != 0), (m, k, p)
+
+
 def test_fine_count_examples():
     for p in (2, 3, 13):
         assert fine_count(0, p) == 1
