@@ -12,12 +12,12 @@ Everything here is integer arithmetic.  The tangent numbers T_k = A_(2k-1)
 come from one column of the tangent-number triangle at a time (Brent and
 Harvey, "Fast computation of Bernoulli, tangent and secant numbers", 2011),
 and each gives B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)), kept as a
-(numerator, denominator) pair reduced by their gcd.  Each B_n(x) is cached
-once as integer numerators over their least common denominator, built from
-those pairs, and every program path reads that form.  ``Fraction`` is loaded
-only by the views that return one: ``BernoulliTable.number`` and
-``bernoulli_poly``, which also loads ``exact_poly``.  The caches only ever
-grow.
+(numerator, denominator) pair reduced by their gcd.  Each B_n(x) is built
+from those pairs as integer numerators over their least common denominator,
+and every program path reads that form.  ``Fraction`` is loaded only by the
+views that return one: ``BernoulliTable.number`` and ``bernoulli_poly``,
+which also loads ``exact_poly``.  The table only ever grows; the B_n(x)
+cache holds the last polynomial built, the only one its readers reuse.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def bernoulli_numbers(upto: int) -> BernoulliTable:
     return _SHARED
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _shared_poly(n: int) -> tuple[tuple[int, ...], int]:
     # B_n(x) as (numerators, D): numerators[i] / D is the coefficient of x^i,
     # and D is the least common denominator, so gcd(D, *numerators) == 1.

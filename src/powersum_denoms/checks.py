@@ -1,11 +1,11 @@
 """The ``verify`` suites, one generator each over the indices up to ``max_n``.
 
 Each yields one item per check: ``None`` when it passes, its failure message
-when it fails.  Only ``verify`` imports this module, through ``cli.SUITES``.
-Library functions are looked up on their modules at each call, so a rebound
-attribute (a tracing wrapper, say) is the one checked, and a suite imports
-the Bernoulli or power-sum layer only if it uses it: ``verify --suite
-hermite`` loads neither.
+when it fails.  Only ``verify`` imports this module, and it runs the suites
+named in ``cli.SUITES``.  Library functions are looked up on their modules
+at each call, so a rebound attribute (a tracing wrapper, say) is the one
+checked, and a suite imports the Bernoulli or power-sum layer only if it
+uses it: ``verify --suite hermite`` loads neither.
 """
 
 from __future__ import annotations

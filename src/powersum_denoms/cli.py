@@ -6,13 +6,14 @@ renders one power-sum polynomial over its least common denominator;
 ``verify`` runs the cross-checking suites; ``witness`` explains a prime
 factor of q_n; ``bench`` times the q_n routes against each other.
 
-Each ``cmd_*`` handler takes the parsed arguments, checks its own flags
-first and raises ``UsageError`` for a bad one.  The commands are tables over
-the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
-and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
-methods and their routes; ``SUITES`` names the verify suites, in order,
-each a generator in ``checks`` that yields one item per check: ``None`` when
-it passes, its failure message when it fails.
+Each subparser binds its ``cmd_*`` handler, which takes the parsed
+arguments, checks its own flags first and raises ``UsageError`` for a bad
+one.  The commands are tables over the library: ``Q_ROUTES`` holds the four
+q_n routes that ``seq``, ``bench`` and the agreement suite share;
+``SEQ_ROUTES`` maps each sequence to its methods and their routes;
+``SUITES`` is the tuple of verify suite names, in order; ``verify`` imports
+``checks`` and runs its generator of each name, one item per check: ``None``
+when it passes, its failure message when it fails.
 Every command runs in the calling process, and none starts a process pool.
 ``verify --workers`` is still parsed and still rejects values below 1, and
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
@@ -41,7 +42,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 from collections.abc import Callable
 from importlib import import_module
 
@@ -83,10 +83,14 @@ class UsageError(ValueError):
     pass
 
 
+def _nonneg(flag: str, value: int) -> None:
+    if value < 0:
+        raise UsageError(f"{flag} must be nonnegative, got {value}")
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
     sequence, method, start, end = args.sequence, args.method, args.start, args.end
-    if start < 0:
-        raise UsageError(f"--from must be nonnegative, got {start}")
+    _nonneg("--from", start)
     if end < start:
         raise UsageError(f"--to must be >= --from, got {start}..{end}")
     route = SEQ_ROUTES[sequence].get(method)
@@ -98,14 +102,9 @@ def cmd_seq(args: argparse.Namespace) -> int:
         raise UsageError("--seq Dpoly needs --from >= 1")
     if args.fmt == "csv":
         print("n,value,method")
+    line = {"plain": "{1}", "csv": f"{{0}},{{1}},{method}", "bfile": "{0} {1}"}[args.fmt]
     for n in range(start, end + 1, 2 if sequence == "Dclausen" else 1):
-        value = route(n)
-        if args.fmt == "csv":
-            print(f"{n},{value},{method}")
-        elif args.fmt == "bfile":
-            print(f"{n} {value}")
-        else:
-            print(value)
+        print(line.format(n, route(n)))
     return 0
 
 
@@ -131,8 +130,7 @@ def _format_poly(denominator: int, coeffs: list[int]) -> str:
 
 def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
-    if n < 0:
-        raise UsageError(f"--n must be nonnegative, got {n}")
+    _nonneg("--n", n)
     if n == 0 and not args.shifted:
         raise UsageError("the unshifted power sum needs --n >= 1")
     if n == 0:
@@ -151,8 +149,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_witness(args: argparse.Namespace) -> int:
     n, p = args.n, args.p
-    if n < 0:
-        raise UsageError(f"--n must be nonnegative, got {n}")
+    _nonneg("--n", n)
     # A prime above the sharp bound never divides q_n.
     if p > formulas._prime_limit(n):
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
@@ -162,7 +159,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if p not in q.primes:
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
     w = padic.marble_witness(n + 1, p)
-    residue = padic._lucas_binom_mod(n + 1, w.b, p)
+    residue = padic.lucas_binom_mod(n + 1, w.b, p)
     print(f"n = {n}, p = {p}")
     print(f"q_{n} = {q.value} = {' * '.join(str(f) for f in q.primes)}")
     print(f"j = {w.j}, b = j*(p-1) = {w.b}")
@@ -186,36 +183,30 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-# Each verify suite, in the order ``--suite all`` runs them: a generator in
-# ``checks`` of one item per check, None or the check's failure message.
-SUITES = {
-    name: _lazy("checks", name)
-    for name in ("agreement", "clausen", "hermite", "bounds", "witnesses", "almkvist")
-}
+# Each verify suite, in the order ``--suite all`` runs them: the name of a
+# generator in ``checks`` of one item per check, None or its failure message.
+SUITES = ("agreement", "clausen", "hermite", "bounds", "witnesses", "almkvist")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    if args.max_n < 0:
-        raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
-    names = list(SUITES) if args.suite == "all" else [args.suite]
+    _nonneg("--max-n", args.max_n)
+    from . import checks
+
     failed = False
-    for name in names:
-        checks, failures = 0, []
-        for failure in SUITES[name](args.max_n):
-            checks += 1
-            if failure is not None:
-                failures.append(failure)
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        results = list(getattr(checks, name)(args.max_n))
+        failures = [message for message in results if message is not None]
         if failures:
             failed = True
-            print(f"{name}: FAIL ({len(failures)} of {checks} checks)")
+            print(f"{name}: FAIL ({len(failures)} of {len(results)} checks)")
             for message in failures[:5]:
                 print(f"  {message}")
             if len(failures) > 5:
                 print(f"  ... and {len(failures) - 5} more")
         else:
-            print(f"{name}: PASS ({checks} checks)")
+            print(f"{name}: PASS ({len(results)} checks)")
     return 1 if failed else 0
 
 
@@ -225,19 +216,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     if args.spot is None:
-        if args.max_n < 0:
-            raise UsageError(f"--max-n must be nonnegative, got {args.max_n}")
+        _nonneg("--max-n", args.max_n)
         indices = range(args.max_n + 1)
         label = f"n = 0..{args.max_n}"
     else:
-        if args.spot < 0:
-            raise UsageError(f"--spot must be nonnegative, got {args.spot}")
+        _nonneg("--spot", args.spot)
         indices = range(args.spot, args.spot + 1)
         label = f"n = {args.spot}"
     methods = args.methods or METHODS
 
-    # Each route runs in this process: its agreement pass warms the caches
-    # (the brute route's B_n(x)) that its timed runs then read.
+    # Each route runs in this process.  The B_n(x) cache holds one entry, so
+    # the brute route's timed runs over a range rebuild each B_n(x).
     baseline = [Q_ROUTES[methods[0]](n) for n in indices]
     for method in methods[1:]:
         if [Q_ROUTES[method](n) for n in indices] != baseline:
@@ -245,25 +234,22 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 f"method {method!r} disagrees with {methods[0]!r} over {label}"
             )
 
+    import timeit
+
     timings = []
     for method in methods:
         route = Q_ROUTES[method]
-        runs = []
-        for _ in range(3):
-            t0 = time.perf_counter()
-            for n in indices:
-                route(n)
-            runs.append((time.perf_counter() - t0) * 1000)
-        timings.append((method, min(runs)))
+        runs = timeit.repeat(lambda: [route(n) for n in indices], number=1, repeat=3)
+        timings.append((method, min(runs) * 1000))
 
     if args.fmt == "csv":
         print("method,min_ms")
-        for method, ms in timings:
-            print(f"{method},{ms:.3f}")
+        line = "{},{:.3f}"
     else:
         print(f"values agree across methods for {label}")
-        for method, ms in timings:
-            print(f"{method:>8}  {ms:10.3f} ms")
+        line = "{:>8}  {:10.3f} ms"
+    for method, ms in timings:
+        print(line.format(method, ms))
     return 0
 
 
@@ -284,36 +270,32 @@ def build_parser() -> argparse.ArgumentParser:
     seq.add_argument("--to", dest="end", type=int, required=True, metavar="N")
     seq.add_argument("--format", dest="fmt", choices=("plain", "csv", "bfile"), default="plain")
     seq.add_argument("--method", choices=METHODS, default="formula")
+    seq.set_defaults(run=cmd_seq)
 
     poly = sub.add_parser("poly", help="render one power-sum polynomial")
     poly.add_argument("--n", type=int, required=True)
     poly.add_argument("--shifted", action="store_true", help="sum up to x^n instead of (x-1)^n")
+    poly.set_defaults(run=cmd_poly)
 
     verify = sub.add_parser("verify", help="run cross-checking suites")
     verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     verify.add_argument("--max-n", dest="max_n", type=int, default=50)
     verify.add_argument("--workers", type=int, default=1, help="no effect: verify runs in one process (to be removed)")
+    verify.set_defaults(run=cmd_verify)
 
     witness = sub.add_parser("witness", help="explain a prime factor of q_n")
     witness.add_argument("--n", type=int, required=True)
     witness.add_argument("--p", type=int, required=True)
+    witness.set_defaults(run=cmd_witness)
 
     bench = sub.add_parser("bench", help="time the q_n methods against each other")
     bench.add_argument("--max-n", dest="max_n", type=int, default=100)
     bench.add_argument("--method", dest="methods", action="append", choices=METHODS, default=None)
     bench.add_argument("--spot", type=int, default=None, metavar="N", help="time a single index instead of a range")
     bench.add_argument("--format", dest="fmt", choices=("plain", "csv"), default="plain")
+    bench.set_defaults(run=cmd_bench)
 
     return parser
-
-
-_COMMANDS = {
-    "seq": cmd_seq,
-    "poly": cmd_poly,
-    "verify": cmd_verify,
-    "witness": cmd_witness,
-    "bench": cmd_bench,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -323,7 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         # str by default (3.10.7 on); the input was parsed above, under it.
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except ValueError as exc:
         # A bad flag, or an input the library refuses.
         print(f"error: {exc}", file=sys.stderr)

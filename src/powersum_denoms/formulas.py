@@ -80,12 +80,13 @@ def _digit_sum_primes(m: int, limit: int) -> list[int]:
     r = isqrt(m)
     ps = [p for p in primes_upto(min(r, limit)) if _digit_sum(m, p) >= p]
     # Above r, m = a*p + b with a = m // p < p; p falls as a rises, so walk a
-    # down to list the candidates m // (a+1) + 1 in increasing order.
+    # down to list the candidates m // (a+1) + 1 in increasing order.  Such a
+    # p has digit sum a + b >= p exactly when a + 1 does not divide m.
     for a in range(m // (r + 1), 0, -1):
         p = m // (a + 1) + 1
         if p > limit:
             break
-        if p > r and (a + 1) * p <= m + a and is_prime(p):
+        if p > r and m % (a + 1) and is_prime(p):
             ps.append(p)
     return ps
 

@@ -9,11 +9,11 @@ survives reduction mod p.
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage, and so do
 the bases of 3.3 * 10^24 and more that ``is_prime`` refuses.  The unchecked
-``_digit_sum``, ``_lucas_binom_mod`` and ``_lucas_nonzero`` are for loops
+helpers are ``_digit_sum`` and ``_lucas_nonzero`` only.  They are for loops
 whose bases are already known to be prime (sieve output or candidates that
 passed ``is_prime``), so that the check is paid once at the public boundary,
 not once per digit sum or residue.  ``_lucas_nonzero`` serves the callers
-that only compare the residue with 0: it tests digit dominance and forms no
+that only compare a residue with 0: it tests digit dominance and forms no
 binomial.
 
 ``is_prime`` is the package's one primality test: trial division by the
@@ -131,12 +131,6 @@ def lucas_binom_mod(m: int, k: int, p: int) -> int:
     _require_prime(p)
     if m < 0 or k < 0:
         raise ValueError(f"binomial indices must be nonnegative: m={m}, k={k}")
-    return _lucas_binom_mod(m, k, p)
-
-
-def _lucas_binom_mod(m: int, k: int, p: int) -> int:
-    # lucas_binom_mod without the checks: m, k >= 0 and p prime are the
-    # caller's to ensure.
     if k > m:
         return 0
     r = 1

@@ -467,6 +467,14 @@ def test_tracer_reads_the_bernoulli_cache_statistics():
     assert callable(bernoulli._shared_poly.cache_info)
 
 
+def test_brute_seq_keeps_one_bernoulli_polynomial(capsys):
+    # Each reader of the B_n(x) cache reuses only the n it just read, so a
+    # streamed brute run holds one polynomial, not every one it built.
+    code, _, _ = run(capsys, "seq", "--method", "brute", "--to", "50")
+    assert code == 0
+    assert bernoulli._shared_poly.cache_info().currsize == 1
+
+
 def test_verify_workers_reports_failures_in_index_order(capsys, monkeypatch):
     psets = cli.Q_ROUTES["psets"]
     monkeypatch.setitem(cli.Q_ROUTES, "psets", lambda n: psets(n) + (n in (3, 6)))

@@ -1,11 +1,14 @@
 """The q_n and D(B_n(x)) routes against independent ones past n = 300, where
-the four-route agreement stops: seeded sparse indices, a few per decade.
-Each assertion message names the seed, so a failure can be replayed."""
+the four-route agreement stops, and the paper's structural facts about q_n:
+seeded sparse indices, a few per decade.  Each assertion message names the
+seed, so a failure can be replayed."""
 
 import random
 from math import lcm
 
 from powersum_denoms.formulas import (
+    SquarefreeProduct,
+    _prime_limit,
     bernoulli_poly_denominator_formula,
     clausen_denominator,
     q_n_epsilon,
@@ -21,10 +24,27 @@ def _sample(lo: int, hi: int, count: int) -> list[int]:
     return sorted(random.Random(f"{SEED}:{lo}:{hi}").sample(range(lo, hi), count))
 
 
+def _assert_structure(n: int, q: SquarefreeProduct) -> None:
+    # The paper's structural facts: q_n is a product of distinct primes within
+    # the sharp bound, odd exactly when n+1 is a power of 2.
+    primes = q.primes
+    assert all(p < r for p, r in zip(primes, primes[1:])), f"seed={SEED}, n={n}"
+    assert not primes or primes[-1] <= _prime_limit(n), f"seed={SEED}, n={n}"
+    assert (q.value % 2 == 1) == ((n + 1) & n == 0), f"seed={SEED}, n={n}"
+
+
 def test_formula_matches_epsilon_per_decade():
     for lo in (10**3, 10**4, 10**5):
         for n in _sample(lo, 10 * lo, 3):
-            assert q_n_formula(n).value == q_n_epsilon(n).value(), f"seed={SEED}, n={n}"
+            q = q_n_formula(n)
+            assert q.value == q_n_epsilon(n).value(), f"seed={SEED}, n={n}"
+            _assert_structure(n, q)
+
+
+def test_structure_at_powers_of_two():
+    for k in range(21):
+        for n in (2**k - 1, 2**k):
+            _assert_structure(n, q_n_formula(n))
 
 
 def test_psets_match_formula():
