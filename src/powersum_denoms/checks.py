@@ -59,7 +59,7 @@ def bounds(max_n: int) -> Iterator[str | None]:
         ok = (q % 2 == 1) == ((n + 1) & n == 0)
         yield None if ok else f"parity of q_{n} disagrees with n+1 being a power of 2"
         limit = formulas._prime_limit(n)
-        for f in powersum._prime_factors(q):
+        for f in formulas._prime_factors(q):
             yield None if f <= limit else f"prime {f} of q_{n} exceeds the bound"
 
 

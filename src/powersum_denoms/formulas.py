@@ -22,11 +22,12 @@ this time, by the same search.  Supporting checks (a binomial-sum
 congruence, the sharpness of the prime bound, and per-k bounds on the prime
 sets) live here too.
 
-The squarefree result type ``SquarefreeProduct`` and the von Staudt-Clausen
-denominator ``clausen_denominator`` live here as well, so this module needs
-nothing from the package but ``padic``: the q_n and B_n(x) formulas load no
-Bernoulli or polynomial code.  ``bernoulli`` imports the von Staudt-Clausen
-denominator and the B_n(x) formula from here.
+So do the squarefree result type ``SquarefreeProduct``, the package's one
+factoriser ``_prime_factors`` (trial division) and ``clausen_denominator``,
+which tests d + 1 for each divisor d of n read off that factorisation: trial
+division up to the larger of n's second largest prime factor and the square
+root of its largest.  This module needs only ``padic``, so the q_n and B_n(x)
+formulas, which ``bernoulli`` imports, load no Bernoulli or polynomial code.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
@@ -67,6 +68,19 @@ def primes_upto(x: int) -> list[int]:
         if not composite[p]:
             composite[p * p :: p] = b"\x01" * len(range(p * p, x + 1, p))
     return [p for p in range(2, x + 1) if not composite[p]]
+
+
+def _prime_factors(x: int) -> list[int]:
+    # The prime factors of x >= 1 in increasing order, with multiplicity.
+    factors, f = [], 2
+    while f * f <= x:
+        while x % f == 0:
+            factors.append(f)
+            x //= f
+        f += 1 if f == 2 else 2
+    if x > 1:
+        factors.append(x)
+    return factors
 
 
 def _prime_limit(n: int) -> int:
@@ -165,11 +179,10 @@ def clausen_denominator(n: int) -> SquarefreeProduct:
     """
     if n <= 0 or n % 2 != 0:
         raise ValueError(f"von Staudt-Clausen applies to positive even n, got {n}")
-    ps = set()
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            ps.update(p for p in {d + 1, n // d + 1} if is_prime(p))
-    return SquarefreeProduct._of_sorted_primes(sorted(ps))
+    divisors = {1}
+    for f in _prime_factors(n):
+        divisors |= {d * f for d in divisors}
+    return SquarefreeProduct._of_sorted_primes(sorted(d + 1 for d in divisors if is_prime(d + 1)))
 
 
 @cache

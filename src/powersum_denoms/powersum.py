@@ -1,14 +1,14 @@
 """Power-sum polynomials and their denominators.
 
 S_n(x) interpolates 1^n + 2^n + ... + (x-1)^n, so S_n(x) + x^n interpolates
-the sum up to x^n.  d_n is the least common denominator of either form (they
-agree for n >= 1), and q_n = d_n / (n+1) is the squarefree quotient that the
-product formulas in :mod:`powersum_denoms.formulas` reproduce.  Both forms
-are read off the integer numerators of the cached B_{n+1}(x) over one
-denominator, with no ``Fraction`` arithmetic; ``power_sum_oracle``
-interpolates the literal sums in ``Fraction``s, the independent check.  It
-and ``shifted_power_sum_poly`` load ``exact_poly`` only when called, and
-they and ``bound_M`` are the only functions here that load ``fractions``.
+the sum up to x^n.  d_n is the least common denominator of either form, and
+q_n = d_n / (n+1) is the squarefree quotient that the formulas in
+:mod:`powersum_denoms.formulas` reproduce; its ``_prime_factors`` checks
+that it is squarefree.  Both forms are read off the integer numerators of the
+cached B_{n+1}(x) over one denominator, with no ``Fraction`` arithmetic;
+``power_sum_oracle`` interpolates the literal sums in ``Fraction``s, the
+independent check.  It and ``shifted_power_sum_poly`` load ``exact_poly``
+only when called, and they and ``bound_M`` alone load ``fractions``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from math import gcd
 
 from ._record import Record
 from .bernoulli import _shared_poly
+from .formulas import _prime_factors
 
 
 def _power_sums(n: int) -> list[tuple[list[int], int]]:
@@ -99,20 +100,6 @@ def q_n_bruteforce(n: int) -> int:
     if len(set(factors)) != len(factors):
         raise ArithmeticError(f"q_{n} = {q} is not squarefree")
     return q
-
-
-def _prime_factors(x: int) -> list[int]:
-    # The prime factors of x >= 1 in increasing order, with multiplicity, by
-    # trial division.
-    factors, f = [], 2
-    while f * f <= x:
-        while x % f == 0:
-            factors.append(f)
-            x //= f
-        f += 1
-    if x > 1:
-        factors.append(x)
-    return factors
 
 
 def bound_M(n: int) -> Fraction:

@@ -1,6 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm
 
 import pytest
 
@@ -15,6 +16,7 @@ from powersum_denoms.bernoulli import (
     clausen_denominator,
 )
 from powersum_denoms.exact_poly import RationalPolynomial
+from powersum_denoms.padic import is_prime
 
 F = Fraction
 
@@ -200,12 +202,25 @@ def test_poly_denominator_routes_agree_to_300():
         assert bernoulli_poly_denominator_formula(n).value == bernoulli_poly_denominator_direct(n)
 
 
-def test_clausen_matches_divisor_scan():
-    from powersum_denoms.padic import is_prime
+def _sqrt_divisor_scan(n: int) -> tuple[int, ...]:
+    # The von Staudt-Clausen primes of n by pairing each divisor d <= sqrt(n)
+    # with n // d: no factorisation involved.
+    ps = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            ps.update(p for p in {d + 1, n // d + 1} if is_prime(p))
+    return tuple(sorted(ps))
 
+
+def test_clausen_matches_divisor_scan():
     for n in range(2, 3000, 2):
         scan = tuple(d + 1 for d in range(1, n + 1) if n % d == 0 and is_prime(d + 1))
         assert clausen_denominator(n).primes == scan
+    seed = 2017
+    ns = [2 * h for h in random.Random(seed).sample(range(1500, 10**6), 200)]
+    # 963761198400 = 2^6 * 3^4 * 5^2 * 7 * 11 * ... * 23 has 6,720 divisors.
+    for n in [*ns, 963761198400]:
+        assert clausen_denominator(n).primes == _sqrt_divisor_scan(n), f"seed={seed}, n={n}"
 
 
 def test_almkvist_meurman_examples():

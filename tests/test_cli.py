@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,17 @@ def test_unguarded_primality_callers_refuse_past_the_bound_at_once():
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr == f"error: base too large to test for primality: {psi_13}\n".encode()
+
+
+def test_seq_dclausen_reads_divisors_off_a_factorisation():
+    # The divisors of 10^20 are the 441 numbers 2^a * 5^b with a, b <= 20;
+    # scanning every d <= 10^10 for them would take minutes.
+    candidates = (2**a * 5**b + 1 for a in range(21) for b in range(21))
+    expected = prod(p for p in candidates if padic.is_prime(p))
+    argv = ("seq", "--seq", "Dclausen", "--from", str(10**20), "--to", str(10**20))
+    proc = _python("-m", "powersum_denoms", *argv, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{expected}\n".encode()
 
 
 def _cap_address_space():

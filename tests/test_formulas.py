@@ -6,6 +6,7 @@ import pytest
 
 from powersum_denoms import formulas, padic
 from powersum_denoms.formulas import (
+    _prime_factors,
     hermite_bachmann_holds,
     primes_upto,
     pset,
@@ -28,6 +29,19 @@ def test_primes_upto():
     thirty = primes_upto(30)
     assert len(thirty) == 10
     assert thirty[-1] == 29
+
+
+def test_prime_factors():
+    assert _prime_factors(1) == []
+    assert _prime_factors(360) == [2, 2, 2, 3, 3, 5]
+    assert _prime_factors(2 * 101**2) == [2, 101, 101]
+    assert _prime_factors(2**64) == [2] * 64
+    assert _prime_factors(10**20) == [2] * 20 + [5] * 20
+    assert _prime_factors(2 * 101**2 * 10007) == [2, 101, 101, 10007]
+    for x in range(1, 3000):
+        factors = _prime_factors(x)
+        assert prod(factors) == x and factors == sorted(factors)
+        assert all(padic.is_prime(f) for f in factors)
 
 
 def test_q_n_formula_examples():
