@@ -35,10 +35,12 @@ class BernoulliTable:
     is read off the tangent number T_k, the last entry of column k of the
     tangent-number triangle.  Column k has k entries: c_1 = (k-1) * c'_1 and
     c_i = (k-i) * c'_i + (k-i+2) * c_(i-1) for 2 <= i <= k, where c' is
-    column k - 1.  Only the last column is kept, so the table grows one
-    index at a time as cheaply as in one go.  Each value is held as
-    (numerator, denominator) in lowest terms, reduced by their gcd alone so
-    that von Staudt-Clausen stays a check on the table, not an input to it.
+    column k - 1.  Only the last column is kept, updated in place: c_i
+    overwrites c'_i, which nothing reads after it.  So the table grows one
+    index at a time as cheaply as in one go, with one column alive.  Each
+    value is held as (numerator, denominator) in lowest terms, reduced by
+    their gcd alone so that von Staudt-Clausen stays a check on the table,
+    not an input to it.
     The internal list only ever grows, so values already handed out never
     change.
     """
@@ -60,12 +62,13 @@ class BernoulliTable:
                 continue
             k = m // 2
             if k > 1:
-                last = self._column
-                column = [(k - 1) * last[0]]
-                for i, c in enumerate(last[1:], start=2):
-                    column.append((k - i) * c + (k - i + 2) * column[-1])
+                # In place: slot i holds c'_(i+1) until c_(i+1) overwrites
+                # it, and that needs only c'_(i+1) and the new c_i in slot i-1.
+                column = self._column
+                column[0] *= k - 1
+                for i in range(1, k - 1):
+                    column[i] = (k - i - 1) * column[i] + (k - i + 1) * column[i - 1]
                 column.append(2 * column[-1])  # c_k, where c'_k does not exist
-                self._column = column
             four_k = 4**k
             num, den = (-1) ** (k - 1) * m * self._column[-1], four_k * (four_k - 1)
             g = gcd(num, den)
@@ -158,3 +161,26 @@ def almkvist_meurman_check(n: int, h: int, k: int) -> bool:
         acc = acc * h + c * k_power
         k_power *= k
     return acc * h % d == 0
+
+
+def _almkvist_meurman_row(n: int, k: int, h_max: int) -> list[bool]:
+    # almkvist_meurman_check(n, h, k) for h = -h_max .. h_max, unchecked.
+    # w_i = c_i * k^(n-i) mod D is formed once; with E and O the Horner sums
+    # of the even and odd w_i in h^2, the value is E + h*O at h, E - h*O at -h.
+    numerators, d = _shared_poly(n)
+    w = [0] * (n + 1)  # w_0 = 0: the constant term cancels against B_n
+    k_power = 1
+    for i in range(n, 0, -1):
+        w[i] = numerators[i] * k_power % d
+        k_power = k_power * k % d
+    even, odd = w[0::2], w[1::2]
+    row = [True] * (2 * h_max + 1)  # h = 0 gives 0
+    for h in range(1, h_max + 1):
+        e = o = 0
+        for c in reversed(even):
+            e = (e * h * h + c) % d
+        for c in reversed(odd):
+            o = (o * h * h + c) % d
+        row[h_max + h] = (e + h * o) % d == 0
+        row[h_max - h] = (e - h * o) % d == 0
+    return row

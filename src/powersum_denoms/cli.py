@@ -33,8 +33,8 @@ on an input the library refuses, and on an index too large for the memory
 at hand.
 A reader that closes the output pipe early ends the run quietly with 0, and
 an interrupt (Ctrl-C) ends it quietly with 130.
-All output except timings is deterministic; ``seq`` writes each value as
-soon as it is computed.
+All output except timings is deterministic.  ``seq`` writes each value as
+soon as it is computed, and ``poly`` each term, so neither holds its output.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator, Sequence
 from importlib import import_module
 
 from . import formulas, padic
@@ -108,24 +108,19 @@ def cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_poly(denominator: int, coeffs: list[int]) -> str:
-    terms = []
+def _poly_pieces(denominator: int, coeffs: Sequence[int]) -> Iterator[str]:
+    # The output line of ``poly``, one term and its separator at a time.
+    if denominator != 1:
+        yield f"1/{denominator} * ("
+    sep = ("", "-")
     for power in range(len(coeffs) - 1, -1, -1):
         c = coeffs[power]
         if c == 0:
             continue
-        mag = abs(c)
-        if power == 0:
-            body = str(mag)
-        else:
-            x = "x" if power == 1 else f"x^{power}"
-            body = x if mag == 1 else f"{mag}{x}"
-        if not terms:
-            terms.append(body if c > 0 else f"-{body}")
-        else:
-            terms.append(f"{'+' if c > 0 else '-'} {body}")
-    joined = " ".join(terms)
-    return joined if denominator == 1 else f"1/{denominator} * ({joined})"
+        x = "" if power == 0 else "x" if power == 1 else f"x^{power}"
+        yield f"{sep[c < 0]}{'' if abs(c) == 1 and x else abs(c)}{x}"
+        sep = (" + ", " - ")
+    yield "\n" if denominator == 1 else ")\n"
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
@@ -139,11 +134,12 @@ def cmd_poly(args: argparse.Namespace) -> int:
     from . import powersum
 
     form = powersum.faulhaber_form(n)
-    coeffs = list(form.coeffs)
+    coeffs = form.coeffs
     if not args.shifted:
         # S_n(x) = (S_n(x) + x^n) - x^n, over the same denominator d_n.
+        coeffs = list(coeffs)
         coeffs[n] -= form.denominator
-    print(_format_poly(form.denominator, coeffs))
+    sys.stdout.writelines(_poly_pieces(form.denominator, coeffs))
     return 0
 
 

@@ -179,10 +179,15 @@ def clausen_denominator(n: int) -> SquarefreeProduct:
     """
     if n <= 0 or n % 2 != 0:
         raise ValueError(f"von Staudt-Clausen applies to positive even n, got {n}")
+    # n + 1 is tested before n is factored: one past is_prime's bound is
+    # refused at once.
+    top = [n + 1] if is_prime(n + 1) else []
     divisors = {1}
     for f in _prime_factors(n):
         divisors |= {d * f for d in divisors}
-    return SquarefreeProduct._of_sorted_primes(sorted(d + 1 for d in divisors if is_prime(d + 1)))
+    divisors.discard(n)
+    primes = sorted(d + 1 for d in divisors if is_prime(d + 1))
+    return SquarefreeProduct._of_sorted_primes(primes + top)
 
 
 @cache

@@ -9,12 +9,12 @@ survives reduction mod p.
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage, and so do
 the bases of 3.3 * 10^24 and more that ``is_prime`` refuses.  The unchecked
-helpers are ``_digit_sum`` and ``_lucas_nonzero`` only.  They are for loops
-whose bases are already known to be prime (sieve output or candidates that
-passed ``is_prime``), so that the check is paid once at the public boundary,
-not once per digit sum or residue.  ``_lucas_nonzero`` serves the callers
-that only compare a residue with 0: it tests digit dominance and forms no
-binomial.
+helpers are ``_digits``, ``_digit_sum``, ``_lucas_nonzero`` and
+``_marble_witness``.  They are for loops whose bases are already known to be
+prime (sieve output, tested candidates, the primes of a computed q_n), so
+that the check is paid once at the public boundary, not once per call.
+``_lucas_nonzero`` serves the callers that only compare a residue with 0:
+it tests digit dominance and forms no binomial.
 
 ``is_prime`` is the package's one primality test: trial division by the
 primes up to 41, then a deterministic Miller-Rabin test with those same
@@ -24,7 +24,7 @@ prime up to 41 divides is refused with ValueError.
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 
 from ._record import Record
 
@@ -94,11 +94,16 @@ def digits(x: int, p: int) -> DigitExpansion:
     _require_prime(p)
     if x < 0:
         raise ValueError(f"digit expansion needs a nonnegative integer, got {x}")
+    return DigitExpansion(p, _digits(x, p))
+
+
+def _digits(x: int, p: int) -> tuple[int, ...]:
+    # digits without the checks: x >= 0 and p prime are the caller's to ensure.
     ds = []
     while x:
         x, r = divmod(x, p)
         ds.append(r)
-    return DigitExpansion(p, tuple(ds))
+    return tuple(ds)
 
 
 def digit_sum(x: int, p: int) -> int:
@@ -166,11 +171,7 @@ def fine_count(m: int, p: int) -> int:
     _require_prime(p)
     if m < 0:
         raise ValueError(f"row index must be nonnegative, got {m}")
-    n = 1
-    while m:
-        m, d = divmod(m, p)
-        n *= d + 1
-    return n
+    return prod(d + 1 for d in _digits(m, p))
 
 
 class MarbleWitness(Record):
@@ -203,8 +204,17 @@ def marble_witness(m: int, p: int) -> MarbleWitness:
     Raises ValueError when the preconditions fail, ArithmeticError if the
     constructed witness does not verify (which would be a bug).
     """
-    alpha = digits(m, p).digits  # checks that p is prime and m >= 0
-    if p == 2 or m <= p or sum(alpha) < p:
+    _require_prime(p)
+    if m < 0:
+        raise ValueError(f"digit expansion needs a nonnegative integer, got {m}")
+    return _marble_witness(m, p)
+
+
+def _marble_witness(m: int, p: int) -> MarbleWitness:
+    # marble_witness without the base check: p prime is the caller's to ensure.
+    # m <= p leaves no digits to read, and fails the digit-sum test.
+    alpha = _digits(m, p) if m > p else ()
+    if p == 2 or sum(alpha) < p:
         raise ValueError(
             f"witness preconditions unmet: need odd prime p, m > p, "
             f"digit sum >= p (got m={m}, p={p})"

@@ -4,8 +4,9 @@ S_n(x) interpolates 1^n + 2^n + ... + (x-1)^n, so S_n(x) + x^n interpolates
 the sum up to x^n.  d_n is the least common denominator of either form, and
 q_n = d_n / (n+1) is the squarefree quotient that the formulas in
 :mod:`powersum_denoms.formulas` reproduce; its ``_prime_factors`` checks
-that it is squarefree.  Both forms are read off the integer numerators of the
-cached B_{n+1}(x) over one denominator, with no ``Fraction`` arithmetic;
+that it is squarefree.  Only the shifted form is built, as the integer
+numerators of the cached B_{n+1}(x) over one scale, with no ``Fraction``
+arithmetic; ``d_n`` reads the unshifted denominator off a second gcd.
 ``power_sum_oracle`` interpolates the literal sums in ``Fraction``s, the
 independent check.  It and ``shifted_power_sum_poly`` load ``exact_poly``
 only when called, and they and ``bound_M`` alone load ``fractions``.
@@ -20,16 +21,14 @@ from .bernoulli import _shared_poly
 from .formulas import _prime_factors
 
 
-def _power_sums(n: int) -> list[tuple[list[int], int]]:
-    # S_n(x) and S_n(x) + x^n for n >= 1, each as (numerators low degree
-    # first, denominator) in lowest terms: S_n = (B_{n+1}(x) - B_{n+1}) / (n+1)
-    # is the cached B_{n+1}(x) over D * (n+1) without its constant term.
+def _scaled_shifted_sum(n: int) -> tuple[tuple[int, ...], int]:
+    # S_n(x) + x^n for n >= 1 as (numerators low degree first, scale), not in
+    # lowest terms: S_n = (B_{n+1}(x) - B_{n+1}) / (n+1) is the cached
+    # B_{n+1}(x) over scale = D * (n+1) without its constant term, and x^n
+    # adds scale at x^n.  The other numerators are the cached integers.
     numerators, d = _shared_poly(n + 1)
     scale = d * (n + 1)
-    base = [0, *numerators[1:]]
-    shifted = [*base[:n], base[n] + scale, base[n + 1]]
-    gs = (gcd(scale, *base), gcd(scale, *shifted))
-    return [([c // g for c in cs], scale // g) for cs, g in zip((base, shifted), gs)]
+    return (0, *numerators[1:n], numerators[n] + scale, numerators[n + 1]), scale
 
 
 def shifted_power_sum_poly(n: int) -> RationalPolynomial:
@@ -45,8 +44,8 @@ def shifted_power_sum_poly(n: int) -> RationalPolynomial:
 
     if n == 0:
         return RationalPolynomial([0, 1])
-    _, (numerators, d) = _power_sums(n)
-    return RationalPolynomial(Fraction(c, d) for c in numerators)
+    numerators, scale = _scaled_shifted_sum(n)
+    return RationalPolynomial(Fraction(c, scale) for c in numerators)
 
 
 def power_sum_oracle(n: int) -> RationalPolynomial:
@@ -79,10 +78,14 @@ def d_n(n: int) -> int:
         raise ValueError(f"index must be nonnegative, got {n}")
     if n == 0:
         return 1
-    (_, d_base), (_, d) = _power_sums(n)
-    if d_base != d:
+    # Each denominator is scale over its gcd with the numerators, and the
+    # unshifted numerators lack the scale added at x^n.
+    shifted, scale = _scaled_shifted_sum(n)
+    g = gcd(scale, *shifted)
+    g_base = gcd(scale, *shifted[:n], shifted[n] - scale, shifted[n + 1])
+    if g_base != g:
         raise ArithmeticError(f"shifted and unshifted denominators differ at n={n}")
-    return d
+    return scale // g
 
 
 def q_n_bruteforce(n: int) -> int:
@@ -134,8 +137,10 @@ def faulhaber_form(n: int) -> FaulhaberForm:
     """
     if n < 1:
         raise ValueError(f"defined for n >= 1, got {n}")
-    _, (numerators, d) = _power_sums(n)
+    numerators, scale = _scaled_shifted_sum(n)
+    g = gcd(scale, *numerators)
+    numerators = tuple(c // g for c in numerators)
     content = gcd(*numerators)
     if content != 1:
         raise ArithmeticError(f"power-sum coefficients share a factor of {content} at n={n}")
-    return FaulhaberForm(n=n, denominator=d, coeffs=tuple(numerators))
+    return FaulhaberForm(n=n, denominator=scale // g, coeffs=numerators)

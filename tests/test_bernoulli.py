@@ -256,6 +256,32 @@ def test_almkvist_meurman_matches_fraction_horner():
                 ), f"n={n}, h={h}, k={k}"
 
 
+def test_almkvist_meurman_row_matches_the_per_check_function():
+    # The verify suite's evaluator, one pass per (n, k), against the public
+    # check at every (n, h, k) the suite covers.
+    for n in range(61):
+        for k in range(1, 11):
+            expected = [almkvist_meurman_check(n, h, k) for h in range(-10, 11)]
+            assert bernoulli._almkvist_meurman_row(n, k, 10) == expected, f"n={n}, k={k}"
+
+
+def test_almkvist_meurman_row_fails_a_perturbed_coefficient(monkeypatch):
+    # One numerator of B_n(x) moved by 1: both evaluators see the same
+    # failures, and there are some at every n.
+    real = bernoulli._shared_poly
+
+    def perturbed(n):
+        numerators, d = real(n)
+        return (*numerators[:-1], numerators[-1] + 1), d
+
+    monkeypatch.setattr(bernoulli, "_shared_poly", perturbed)
+    for n in range(1, 31):
+        for k in range(1, 11):
+            expected = [almkvist_meurman_check(n, h, k) for h in range(-10, 11)]
+            assert bernoulli._almkvist_meurman_row(n, k, 10) == expected, f"n={n}, k={k}"
+        assert not all(almkvist_meurman_check(n, h, 1) for h in range(-10, 11)), f"n={n}"
+
+
 def test_shared_poly_is_scaled_coefficients():
     # The cached B_n(x) is (numerators, D) with numerators[i] / D the exact
     # coefficient binomial(n, i) * B_(n-i) of x^i and D their least common

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from powersum_denoms import bernoulli, cli, formulas, padic
 from powersum_denoms.checks import hermite as _suite_hermite
-from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _format_poly, main
+from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _poly_pieces, main
 from powersum_denoms.exact_poly import RationalPolynomial, content_split
 from powersum_denoms.powersum import faulhaber_form, power_sum_oracle
 
@@ -136,10 +136,35 @@ def test_faulhaber_form_and_poly_match_interpolation_oracle(capsys):
         assert scale.numerator == 1
         assert (form.denominator, form.coeffs) == (scale.denominator, primitive.coeffs)
         scale, primitive = content_split(shifted + RationalPolynomial([0] * n + [-1]))
-        expected = _format_poly(
-            scale.denominator, [int(c) * scale.numerator for c in primitive.coeffs]
+        expected = "".join(
+            _poly_pieces(scale.denominator, [int(c) * scale.numerator for c in primitive.coeffs])
         )
-        assert run(capsys, "poly", "--n", str(n)) == (0, expected + "\n", ""), f"n={n}"
+        assert run(capsys, "poly", "--n", str(n)) == (0, expected, ""), f"n={n}"
+
+
+class _WriteLog(io.StringIO):
+    # A stdout that records each write it is given.
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, s):
+        self.writes.append(s)
+        return super().write(s)
+
+
+def test_poly_writes_one_term_at_a_time(monkeypatch):
+    # No write carries more than one term and its separator, so the line is
+    # never held whole; the pieces still make the exact line.
+    n = 649
+    form = faulhaber_form(n)
+    terms = [f"{c}x^{i}" for i, c in enumerate(form.coeffs) if c]
+    log = _WriteLog()
+    monkeypatch.setattr(sys, "stdout", log)
+    assert main(["poly", "--n", str(n), "--shifted"]) == 0
+    assert log.getvalue() == "".join(_poly_pieces(form.denominator, form.coeffs))
+    assert len(log.writes) == len(terms) + 2
+    assert max(map(len, log.writes)) <= max(map(len, terms)) + len(" + ")
 
 
 def test_poly_unshifted_needs_positive_n(capsys):
@@ -310,7 +335,9 @@ def test_verify_derives_each_clausen_prime_set_once(monkeypatch):
 
 def test_verify_reports_the_first_five_failures(capsys, monkeypatch):
     # One process: the five-message cap and the failure count, in check order.
-    monkeypatch.setattr(bernoulli, "almkvist_meurman_check", lambda n, h, k: h >= 0)
+    monkeypatch.setattr(
+        bernoulli, "_almkvist_meurman_row", lambda n, k, h_max: [h >= 0 for h in range(-h_max, h_max + 1)]
+    )
     code, out, _ = run(capsys, "verify", "--suite", "almkvist", "--max-n", "1")
     assert code == 1
     assert out.splitlines() == [
@@ -519,7 +546,7 @@ def test_verify_witnesses_reports_both_kinds_of_failure(capsys, monkeypatch):
     def not_sharp(p):
         raise ArithmeticError("not sharp")
 
-    monkeypatch.setattr(padic, "marble_witness", no_witness)
+    monkeypatch.setattr(padic, "_marble_witness", no_witness)
     monkeypatch.setattr(formulas, "sharpness_witnesses", not_sharp)
     code, out, _ = run(capsys, "verify", "--suite", "witnesses", "--max-n", "8")
     assert code == 1
@@ -610,6 +637,23 @@ def test_seq_closed_pipe_exits_quietly():
     # Far more output than a pipe buffers, so the writer meets the closed pipe.
     proc = _seq_to(20000)
     assert proc.stdout.readline() == b"1\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_poly_closed_pipe_exits_quietly():
+    # One line longer than a pipe buffers, written a term at a time, so the
+    # writer meets the closed pipe in the middle of the line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powersum_denoms", "poly", "--n", "700"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_checkout_env(),
+    )
+    assert proc.stdout.read(2) == b"1/"
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()
