@@ -33,6 +33,7 @@ _EXPORTS = {
         "EpsilonVector",
         "SquarefreeProduct",
         "bernoulli_poly_denominator_formula",
+        "bernoulli_poly_denominator_formula_range",
         "clausen_denominator",
         "hermite_bachmann_holds",
         "primes_upto",
@@ -40,6 +41,7 @@ _EXPORTS = {
         "pset_bound_check",
         "q_n_epsilon",
         "q_n_formula",
+        "q_n_formula_range",
         "q_n_via_psets",
         "sharpness_witnesses",
     ),

@@ -10,7 +10,8 @@ Each subparser binds its ``cmd_*`` handler, which takes the parsed
 arguments, checks its own flags first and raises ``UsageError`` for a bad
 one.  The commands are tables over the library: ``Q_ROUTES`` holds the four
 q_n routes that ``seq``, ``bench`` and the agreement suite share;
-``SEQ_ROUTES`` maps each sequence to its methods and their routes;
+``SEQ_ROUTES`` maps each sequence to its methods and their routes over an
+index range;
 ``SUITES`` is the tuple of verify suite names, in order; ``verify`` imports
 ``checks`` and runs its generator of each name, one item per check: ``None``
 when it passes, its failure message when it fails.
@@ -34,7 +35,8 @@ at hand.
 A reader that closes the output pipe early ends the run quietly with 0, and
 an interrupt (Ctrl-C) ends it quietly with 130.
 All output except timings is deterministic.  ``seq`` writes each value as
-soon as it is computed, and ``poly`` each term, so neither holds its output.
+soon as it is computed, or its window of indices searched, and ``poly`` each
+term, so neither holds its output.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from importlib import import_module
+from operator import mul
 
 from . import formulas, padic
 
@@ -65,15 +68,28 @@ Q_ROUTES = {
 METHODS = tuple(Q_ROUTES)
 
 
-# Each sequence's methods and their routes, in the order --seq lists them.
-# d_n is (n+1) * q_n by each q_n route.
+def _each(route: Callable[[int], object]) -> Callable[[range], Iterator[object]]:
+    # A per-index route over a range of indices.
+    return lambda ns: map(route, ns)
+
+
+# Each sequence's methods and their routes over a range of indices, in the
+# order --seq lists them.  q_n and D(B_n(x)) by formula search each window of
+# indices once; d_n is (n+1) * q_n by each q_n route.
+Q_RANGES = {method: _each(route) for method, route in Q_ROUTES.items()}
+Q_RANGES["formula"] = lambda ns: (q.value for q in formulas.q_n_formula_range(ns.start, ns.stop))
 SEQ_ROUTES = {
-    "d": {method: lambda n, q=q: (n + 1) * q(n) for method, q in Q_ROUTES.items()},
-    "q": Q_ROUTES,
-    "Dclausen": {"formula": lambda n: formulas.clausen_denominator(n).value},
+    "d": {
+        method: lambda ns, q=q: map(mul, range(ns.start + 1, ns.stop + 1), q(ns))
+        for method, q in Q_RANGES.items()
+    },
+    "q": Q_RANGES,
+    "Dclausen": {"formula": _each(lambda n: formulas.clausen_denominator(n).value)},
     "Dpoly": {
-        "formula": lambda n: formulas.bernoulli_poly_denominator_formula(n).value,
-        "brute": _lazy("bernoulli", "bernoulli_poly_denominator_direct"),
+        "formula": lambda ns: (
+            D.value for D in formulas.bernoulli_poly_denominator_formula_range(ns.start, ns.stop)
+        ),
+        "brute": _each(_lazy("bernoulli", "bernoulli_poly_denominator_direct")),
     },
 }
 SEQUENCES = tuple(SEQ_ROUTES)
@@ -103,8 +119,9 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if args.fmt == "csv":
         print("n,value,method")
     line = {"plain": "{1}", "csv": f"{{0}},{{1}},{method}", "bfile": "{0} {1}"}[args.fmt]
-    for n in range(start, end + 1, 2 if sequence == "Dclausen" else 1):
-        print(line.format(n, route(n)))
+    ns = range(start, end + 1, 2 if sequence == "Dclausen" else 1)
+    for n, value in zip(ns, route(ns)):
+        print(line.format(n, value))
     return 0
 
 

@@ -17,10 +17,14 @@ sum.  A larger prime p has two base-p digits, n+1 = a*p + b, so its digit
 sum a + b is at least p exactly when p <= (n+1+a)/(a+1); together with
 p > (n+1)/(a+1) that leaves one candidate per quotient a, which needs only a
 primality test (Kellner, "On a product of certain primes", J. Number Theory,
-2017).  The denominator of B_n(x) is read off the same digit sums, of n
-this time, by the same search.  Supporting checks (a binomial-sum
-congruence, the sharpness of the prime bound, and per-k bounds on the prime
-sets) live here too.
+2017).  The search runs over windows of consecutive indices: one sieve per
+window lists the small primes and decides the candidates up to a fixed
+bound by lookup, each small prime's digit sum is carried from one index to
+the next, and each quotient's candidate is decided once for the run of
+indices that share it.  A single index is a window of one.  The denominator
+of B_n(x) is read off the same digit sums, of n this time, by the same
+search.  Supporting checks (a binomial-sum congruence, the sharpness of the
+prime bound, and per-k bounds on the prime sets) live here too.
 
 So do the squarefree result type ``SquarefreeProduct``, the package's one
 factoriser ``_prime_factors`` (trial division) and ``clausen_denominator``,
@@ -37,6 +41,7 @@ the unchecked ``SquarefreeProduct._of_sorted_primes``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import cache
 from math import comb, isqrt, prod
 
@@ -54,19 +59,37 @@ class SquarefreeProduct(Record):
     @classmethod
     def _of_sorted_primes(cls, primes: list[int]) -> SquarefreeProduct:
         # Unchecked: the caller guarantees distinct primes in increasing order.
-        return cls(tuple(primes), prod(primes))
+        return cls(tuple(primes), _product(primes))
+
+
+def _product(xs: list[int]) -> int:
+    # A balanced product tree (Bernstein 2008).  math.prod multiplies left to
+    # right, each step the whole partial product by one small factor, which is
+    # quadratic in the digits; halves of equal size keep the large
+    # multiplications balanced, where CPython's Karatsuba pays.  Short lists,
+    # such as q_n's near n = 10^4 (about 40 primes), stay with math.prod.
+    if len(xs) <= 64:
+        return prod(xs)
+    half = len(xs) // 2
+    return _product(xs[:half]) * _product(xs[half:])
+
+
+def _sieve(x: int) -> bytearray:
+    # composite[i] is 0 exactly for 0, 1 and the primes i <= x.  Zero-filled,
+    # so that an allocation too large fails cleanly: in CPython 3.11 a failed
+    # ``bytearray([1]) * size`` also prints a stray SystemError.
+    composite = bytearray(x + 1)
+    for p in range(2, isqrt(x) + 1):
+        if not composite[p]:
+            composite[p * p :: p] = b"\x01" * len(range(p * p, x + 1, p))
+    return composite
 
 
 def primes_upto(x: int) -> list[int]:
     """All primes <= x in increasing order, by a plain Eratosthenes sieve."""
     if x < 2:
         return []
-    # Zero-filled, so that an allocation too large fails cleanly: in CPython
-    # 3.11 a failed ``bytearray([1]) * size`` also prints a stray SystemError.
-    composite = bytearray(x + 1)
-    for p in range(2, isqrt(x) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = b"\x01" * len(range(p * p, x + 1, p))
+    composite = _sieve(x)
     return [p for p in range(2, x + 1) if not composite[p]]
 
 
@@ -88,21 +111,46 @@ def _prime_limit(n: int) -> int:
     return (n + 2) // (2 if n % 2 == 0 else 3)
 
 
-def _digit_sum_primes(m: int, limit: int) -> list[int]:
-    """The primes p <= limit whose base-p digit sum of m >= 1 is at least p,
-    in increasing order, in O(sqrt(m)) steps."""
-    r = isqrt(m)
-    ps = [p for p in primes_upto(min(r, limit)) if _digit_sum(m, p) >= p]
-    # Above r, m = a*p + b with a = m // p < p; p falls as a rises, so walk a
-    # down to list the candidates m // (a+1) + 1 in increasing order.  Such a
-    # p has digit sum a + b >= p exactly when a + 1 does not divide m.
-    for a in range(m // (r + 1), 0, -1):
-        p = m // (a + 1) + 1
-        if p > limit:
-            break
-        if p > r and m % (a + 1) and is_prime(p):
-            ps.append(p)
-    return ps
+def _digit_sum_primes(start: int, stop: int) -> Iterator[list[int]]:
+    """For each m in range(start, stop), start >= 1, the primes p whose base-p
+    digit sum of m is at least p, in increasing order: all within
+    _prime_limit(m - 1), since that digit sum needs m >= 2p - 1, and, for odd
+    p and even m, an even digit sum, so m >= 3p - 1."""
+    lo = start
+    while lo < stop:
+        # A window holds its indices' primes until it yields them, about
+        # isqrt(m) / 10 each near m = 10^12, so it narrows as m grows.
+        hi = min(stop, lo + max(1, min(64, (1 << 22) // isqrt(lo))))
+        r = isqrt(hi - 1)
+        # One sieve lists the primes up to r and decides the candidates up to
+        # bound by lookup; the largest candidate is hi // 2.
+        bound = max(r, min(hi // 2, 64 * r, 1 << 20))
+        composite = _sieve(bound)
+        hits: list[list[int]] = [[] for _ in range(lo, hi)]
+        # Up to r, p's digit sum rises by one from m to m + 1, and is formed
+        # again only at each multiple of p.
+        for p in range(2, r + 1):
+            if composite[p]:
+                continue
+            m = lo
+            while m < hi:
+                end = min(hi, m - m % p + p)
+                for k in range(max(m, m + p - _digit_sum(m, p)), end):
+                    hits[k - lo].append(p)
+                m = end
+        # Above r, m = a*p + b with a = m // p < p, and p qualifies exactly
+        # when p = m // (a+1) + 1 with a + 1 not dividing m.  So each a has one
+        # candidate per block of a + 1 consecutive m, for all of the block but
+        # its multiple of a + 1, and walking a down keeps each list increasing.
+        for a in range((hi - 1) // (r + 1), 0, -1):
+            d = a + 1
+            for c in range(lo // d, (hi - 2) // d + 1):
+                p = c + 1
+                if p > r and (not composite[p] if p <= bound else is_prime(p)):
+                    for k in range(max(lo, c * d + 1), min(hi, c * d + d)):
+                        hits[k - lo].append(p)
+        yield from hits
+        lo = hi
 
 
 def q_n_formula(n: int) -> SquarefreeProduct:
@@ -111,9 +159,15 @@ def q_n_formula(n: int) -> SquarefreeProduct:
     Product of the primes p within the sharp bound such that the base-p
     digit sum of n+1 is at least p.  An empty product is 1.
     """
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return SquarefreeProduct._of_sorted_primes(_digit_sum_primes(n + 1, _prime_limit(n)))
+    return next(q_n_formula_range(n, n + 1))
+
+
+def q_n_formula_range(start: int, stop: int) -> Iterator[SquarefreeProduct]:
+    """q_n for each n in range(start, stop), as q_n_formula gives it; each
+    window of consecutive indices shares one sieve and one search."""
+    if start < 0:
+        raise ValueError(f"index must be nonnegative, got {start}")
+    return map(SquarefreeProduct._of_sorted_primes, _digit_sum_primes(start + 1, stop + 1))
 
 
 def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
@@ -125,14 +179,24 @@ def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
     least p.  n = 1 gives the bare factor 2.  The digit-sum primes come from
     the same O(sqrt(n)) search as q_n_formula's.
     """
-    if n < 1:
-        raise ValueError(f"polynomial denominator needs n >= 1, got {n}")
-    if n == 1:
-        return SquarefreeProduct._of_sorted_primes([2])
+    return next(bernoulli_poly_denominator_formula_range(n, n + 1))
+
+
+def bernoulli_poly_denominator_formula_range(start: int, stop: int) -> Iterator[SquarefreeProduct]:
+    """The denominator of B_n(x) for each n in range(start, stop), as
+    bernoulli_poly_denominator_formula gives it, from one windowed search."""
+    if start < 1:
+        raise ValueError(f"polynomial denominator needs n >= 1, got {start}")
     # The digit-sum primes of n under q_{n-1}'s bound: q_{n-1}'s own search.
-    ps = _digit_sum_primes(n, _prime_limit(n - 1))
+    return map(_poly_denominator, range(start, stop), _digit_sum_primes(start, stop))
+
+
+def _poly_denominator(n: int, ps: list[int]) -> SquarefreeProduct:
+    # lcm(denominator of B_n, q_{n-1}): B_1 = -1/2, and B_n = 0 for odd n >= 3.
     if n % 2 == 0:
         ps = sorted(set(clausen_denominator(n).primes).union(ps))
+    elif n == 1:
+        ps = [2]
     return SquarefreeProduct._of_sorted_primes(ps)
 
 
@@ -144,7 +208,7 @@ class EpsilonVector(Record):
     exponents: dict[int, int]
 
     def value(self) -> int:
-        return prod(p for p, e in self.exponents.items() if e)
+        return _product([p for p, e in self.exponents.items() if e])
 
 
 def q_n_epsilon(n: int) -> EpsilonVector:

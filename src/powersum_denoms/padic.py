@@ -17,9 +17,10 @@ that the check is paid once at the public boundary, not once per call.
 it tests digit dominance and forms no binomial.
 
 ``is_prime`` is the package's one primality test: trial division by the
-primes up to 41, then a deterministic Miller-Rabin test with those same
-thirteen bases, which is exact below 3.3 * 10^24.  A larger input that no
-prime up to 41 divides is refused with ValueError.
+primes up to 41, then a deterministic Miller-Rabin test with the first k
+of those thirteen bases, the fewest that are exact below n; all thirteen are
+exact below 3.3 * 10^24.  A larger input that no prime up to 41 divides is
+refused with ValueError.
 """
 
 from __future__ import annotations
@@ -30,9 +31,17 @@ from ._record import Record
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# psi_13, the least strong pseudoprime to all of _BASES.  Twelve bases are not
-# enough: psi_12 = 318665857834031151167461 passes 2..37 and is composite.
-_MILLER_RABIN_BOUND = 3317044064679887385961981
+# psi_k, the least strong pseudoprime to the first k of _BASES: below psi_k
+# the first k bases decide (Jaeschke, Math. Comp. 1993, up to k = 8; Jiang
+# and Deng, Math. Comp. 2014, and Sorenson and Webster, Math. Comp. 2017,
+# beyond).  Twelve bases are not enough past psi_12, which passes 2..37 and
+# is composite; the test stops at psi_13.
+_PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+_MILLER_RABIN_BOUND = _PSI[-1]
 
 
 def is_prime(n: int) -> bool:
@@ -50,16 +59,17 @@ def is_prime(n: int) -> bool:
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s
-    for a in _BASES:
+    for a, psi in zip(_BASES, _PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            break
     return True
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import resource
 import signal
 import subprocess
@@ -53,6 +54,26 @@ def test_seq_all_methods_agree(capsys):
         assert code == 0
         outputs.add(out)
     assert len(outputs) == 1
+
+
+def _decade_windows():
+    # One seeded window per decade from 10^2 to 10^9, shorter where a single
+    # index costs more.
+    rng = random.Random(20170511)
+    for e in range(2, 10):
+        start = rng.randrange(10**e, 10 ** (e + 1))
+        yield start, start + (150 if e < 7 else 12)
+
+
+@pytest.mark.parametrize("start, stop", list(_decade_windows()))
+def test_seq_window_routes_match_single_indices(start, stop):
+    ns = range(start, stop)
+    qs = [formulas.q_n_formula(n).value for n in ns]
+    assert list(cli.SEQ_ROUTES["q"]["formula"](ns)) == qs
+    assert list(cli.SEQ_ROUTES["d"]["formula"](ns)) == [(n + 1) * q for n, q in zip(ns, qs)]
+    assert list(cli.SEQ_ROUTES["Dpoly"]["formula"](ns)) == [
+        formulas.bernoulli_poly_denominator_formula(n).value for n in ns
+    ]
 
 
 def test_seq_dpoly(capsys):

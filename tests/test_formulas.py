@@ -3,16 +3,21 @@ from bisect import bisect_right
 from math import floor, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powersum_denoms import formulas, padic
 from powersum_denoms.formulas import (
     _prime_factors,
+    bernoulli_poly_denominator_formula,
+    bernoulli_poly_denominator_formula_range,
     hermite_bachmann_holds,
     primes_upto,
     pset,
     pset_bound_check,
     q_n_epsilon,
     q_n_formula,
+    q_n_formula_range,
     q_n_via_psets,
     sharpness_witnesses,
 )
@@ -230,3 +235,70 @@ def test_formula_matches_full_scan_large():
         q = q_n_formula(n)
         assert q.primes == _q_primes_oracle(n, primes), n
         assert q.value == prod(q.primes)
+
+
+def test_product_tree_matches_math_prod():
+    rng = random.Random(2008)
+    lists = [[], [1], [7], [2**89 - 1]]
+    for k in (2, 63, 64, 65, 128, 129, 1000, 4321):
+        lists.append([rng.randrange(1, 10 ** rng.randrange(1, 30)) for _ in range(k)])
+    for xs in lists:
+        assert formulas._product(xs) == prod(xs), len(xs)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [
+        (0, 1),  # windows of length 1, and the first indices
+        (1, 2),
+        (0, 130),  # three windows
+        (7, 7),  # empty
+        (9990, 10010),  # m = n + 1 = 100^2 for q_9999: r grows inside the window
+        (16350, 16420),  # past m = 16384 some candidates exceed 64 * isqrt(m)
+        (2**28 - 8, 2**28 + 8),  # 64 * isqrt(m) reaches the 2^20 sieve cap
+    ],
+)
+def test_window_edges_match_single_indices(start, stop):
+    assert list(q_n_formula_range(start, stop)) == [q_n_formula(n) for n in range(start, stop)]
+    lo = max(start, 1)
+    assert list(bernoulli_poly_denominator_formula_range(lo, stop)) == [
+        bernoulli_poly_denominator_formula(n) for n in range(lo, stop)
+    ]
+
+
+def test_window_ranges_are_checked_up_front():
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_n_formula_range(-1, 3)
+    with pytest.raises(ValueError, match="n >= 1"):
+        bernoulli_poly_denominator_formula_range(0, 3)
+
+
+_WINDOW_PRIMES = primes_upto(2651)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 4999), st.integers(0, 300))
+def test_window_matches_full_scan(start, length):
+    stop = start + length
+    got = [q.primes for q in q_n_formula_range(start, stop)]
+    assert got == [_q_primes_oracle(n, _WINDOW_PRIMES) for n in range(start, stop)]
+    lo = max(start, 1)
+    assert list(bernoulli_poly_denominator_formula_range(lo, stop)) == [
+        bernoulli_poly_denominator_formula(n) for n in range(lo, stop)
+    ]
+
+
+def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
+    # Near 10^4 the window's sieve reaches its largest candidate, so no
+    # candidate reaches is_prime.
+    calls = []
+    real = padic.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(padic, "is_prime", counted)
+    monkeypatch.setattr(formulas, "is_prime", counted)
+    assert len(list(q_n_formula_range(9750, 10000))) == 250
+    assert calls == []

@@ -37,16 +37,33 @@ def test_is_prime():
 def test_is_prime_matches_sieve():
     from powersum_denoms.formulas import primes_upto
 
-    assert [n for n in range(10**5) if is_prime(n)] == primes_upto(10**5 - 1)
+    assert [n for n in range(10**6) if is_prime(n)] == primes_upto(10**6 - 1)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+# psi_k, the least strong pseudoprime to the first k prime bases, for k <= 12.
+PSI = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461,
+)
 
 
 def test_is_prime_large():
-    # Strong pseudoprimes to the first 1, 4, 9..11 and 12 prime bases; the last
-    # is why is_prime uses 13 Miller-Rabin bases.
-    psi_12 = 318665857834031151167461
-    assert psi_12 == 399165290221 * 798330580441
-    for n in (2047, 3215031751, 3825123056546413051, psi_12):
-        assert not is_prime(n)
+    # psi_k passes the first k bases, so is_prime, which stops after the first
+    # k bases below psi_k, must test base k + 1 at psi_k itself.  psi_12 is
+    # why is_prime has 13 Miller-Rabin bases.
+    assert PSI[-1] == 399165290221 * 798330580441
+    for k, n in enumerate(PSI, 1):
+        assert all(_strong_probable_prime(n, a) for a in small_primes[:k]), k
+        assert not is_prime(n), k
     assert is_prime(999999999989)
     assert is_prime(2**61 - 1)
     assert not is_prime((2**31 - 1) ** 2)
