@@ -20,7 +20,6 @@ _EXPORTS = {
         "BernoulliTable",
         "almkvist_meurman_check",
         "bernoulli_numbers",
-        "bernoulli_poly",
         "bernoulli_poly_denominator_direct",
     ),
     "exact_poly": (

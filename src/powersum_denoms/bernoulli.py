@@ -1,10 +1,11 @@
 """Bernoulli numbers and polynomials, exactly.
 
 Provides the shared table of Bernoulli numbers (first kind, B_1 = -1/2),
-Bernoulli polynomials as exact rational polynomials, and the denominator of
-B_n(x) read off its coefficients.  The integrality check
-k^n * (B_n(h/k) - B_n) rounds out the module.  The product formula for that
-denominator and the von Staudt-Clausen denominator live in ``formulas``,
+each Bernoulli polynomial B_n(x) as integer numerators over their least
+common denominator, and that denominator read off the coefficients.  The
+integrality check k^n * (B_n(h/k) - B_n) rounds out the module.  The product
+formula for that denominator (the primes p with base-p digit sum of n at
+least p - 1) and the von Staudt-Clausen denominator live in ``formulas``,
 which imports nothing from here; both can still be imported from this
 module.
 
@@ -14,10 +15,10 @@ Harvey, "Fast computation of Bernoulli, tangent and secant numbers", 2011),
 and each gives B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)), kept as a
 (numerator, denominator) pair reduced by their gcd.  Each B_n(x) is built
 from those pairs as integer numerators over their least common denominator,
-and every program path reads that form.  ``Fraction`` is loaded only by the
-views that return one: ``BernoulliTable.number`` and ``bernoulli_poly``,
-which also loads ``exact_poly``.  The table only ever grows; the B_n(x)
-cache holds the last polynomial built, the only one its readers reuse.
+and every program path reads that form.  ``Fraction`` is loaded only by
+``BernoulliTable.number``, the one view that returns one.  The table only
+ever grows; the B_n(x) cache holds the last polynomial built, the only one
+its readers reuse.
 """
 
 from __future__ import annotations
@@ -115,22 +116,6 @@ def _shared_poly(n: int) -> tuple[tuple[int, ...], int]:
     for i, a, e in terms:
         numerators[i] = a * (d // e)
     return tuple(numerators), d
-
-
-def bernoulli_poly(n: int) -> RationalPolynomial:
-    """B_n(x) = sum(binomial(n, k) * B_k * x^(n-k) for k in 0..n).
-
-    A ``Fraction`` view, built at each call from the cached scaled-integer
-    form; no program path calls it.
-    """
-    if n < 0:
-        raise ValueError(f"Bernoulli polynomials are indexed from 0, got {n}")
-    from fractions import Fraction
-
-    from .exact_poly import RationalPolynomial
-
-    numerators, d = _shared_poly(n)
-    return RationalPolynomial(Fraction(c, d) for c in numerators)
 
 
 def bernoulli_poly_denominator_direct(n: int) -> int:

@@ -21,17 +21,27 @@ primality test (Kellner, "On a product of certain primes", J. Number Theory,
 window lists the small primes and decides the candidates up to a fixed
 bound by lookup, each small prime's digit sum is carried from one index to
 the next, and each quotient's candidate is decided once for the run of
-indices that share it.  A single index is a window of one.  The denominator
-of B_n(x) is read off the same digit sums, of n this time, by the same
-search.  Supporting checks (a binomial-sum congruence, the sharpness of the
-prime bound, and per-k bounds on the prime sets) live here too.
+indices that share it.  A single index is a window of one.
 
-So do the squarefree result type ``SquarefreeProduct``, the package's one
-factoriser ``_prime_factors`` (trial division) and ``clausen_denominator``,
-which tests d + 1 for each divisor d of n read off that factorisation: trial
+The denominator D(B_n(x)) of the Bernoulli polynomial is the product of
+the primes p whose base-p digit sum s_p(n) is at least p - 1, for every
+n >= 1, so it comes from the same search at that threshold.  The primes
+with s_p(n) >= p make the denominator of B_n(x) - B_n (Kellner, as above),
+von Staudt-Clausen's, with p - 1 dividing n, that of B_n (for odd n >= 3,
+where B_n = 0, that is 2, already among the first), and since
+s_p(n) = n (mod p - 1) and s_p(n) >= 1, those are the p with s_p(n) a
+positive multiple of p - 1.
+
+Supporting checks (a binomial-sum congruence, the sharpness of the prime
+bound, and per-k bounds on the prime sets) live here too.  So do the
+squarefree result type ``SquarefreeProduct``, the package's one factoriser
+``_prime_factors`` (trial division) and ``clausen_denominator``, which
+tests d + 1 for each divisor d of n read off that factorisation: trial
 division up to the larger of n's second largest prime factor and the square
-root of its largest.  This module needs only ``padic``, so the q_n and B_n(x)
-formulas, which ``bernoulli`` imports, load no Bernoulli or polynomial code.
+root of its largest.  ``seq --seq Dclausen`` and ``pset`` use it; the
+D(B_n(x)) formula does not.  This module needs only ``padic``, so the q_n
+and B_n(x) formulas, which ``bernoulli`` imports, load no Bernoulli or
+polynomial code.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
@@ -111,11 +121,11 @@ def _prime_limit(n: int) -> int:
     return (n + 2) // (2 if n % 2 == 0 else 3)
 
 
-def _digit_sum_primes(start: int, stop: int) -> Iterator[list[int]]:
+def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
     """For each m in range(start, stop), start >= 1, the primes p whose base-p
-    digit sum of m is at least p, in increasing order: all within
-    _prime_limit(m - 1), since that digit sum needs m >= 2p - 1, and, for odd
-    p and even m, an even digit sum, so m >= 3p - 1."""
+    digit sum of m is at least p - t, in increasing order, for t = 0 or 1.
+    A digit sum of m is at most m, so p <= m + t; for t = 0 the sum also needs
+    m >= 2p - 1, and, for odd p and even m, an even sum, so m >= 3p - 1."""
     lo = start
     while lo < stop:
         # A window holds its indices' primes until it yields them, about
@@ -123,8 +133,8 @@ def _digit_sum_primes(start: int, stop: int) -> Iterator[list[int]]:
         hi = min(stop, lo + max(1, min(64, (1 << 22) // isqrt(lo))))
         r = isqrt(hi - 1)
         # One sieve lists the primes up to r and decides the candidates up to
-        # bound by lookup; the largest candidate is hi // 2.
-        bound = max(r, min(hi // 2, 64 * r, 1 << 20))
+        # bound by lookup; the largest candidate but a = 0's is (hi + 1) // 2.
+        bound = max(r, min((hi + 1) // 2, 64 * r, 1 << 20))
         composite = _sieve(bound)
         hits: list[list[int]] = [[] for _ in range(lo, hi)]
         # Up to r, p's digit sum rises by one from m to m + 1, and is formed
@@ -135,19 +145,21 @@ def _digit_sum_primes(start: int, stop: int) -> Iterator[list[int]]:
             m = lo
             while m < hi:
                 end = min(hi, m - m % p + p)
-                for k in range(max(m, m + p - _digit_sum(m, p)), end):
+                for k in range(max(m, m + p - t - _digit_sum(m, p)), end):
                     hits[k - lo].append(p)
                 m = end
-        # Above r, m = a*p + b with a = m // p < p, and p qualifies exactly
-        # when p = m // (a+1) + 1 with a + 1 not dividing m.  So each a has one
-        # candidate per block of a + 1 consecutive m, for all of the block but
-        # its multiple of a + 1, and walking a down keeps each list increasing.
-        for a in range((hi - 1) // (r + 1), 0, -1):
+        # Above r, m = a*p + b with a = m // p < p, and a + b >= p - t exactly
+        # when m < (a+1)*p <= m + a + t, that is p = m // (a+1) + 1, with a + 1
+        # not dividing m if t = 0.  So each a has one candidate per block of
+        # a + 1 consecutive m, for all of the block but, if t = 0, its
+        # multiple of a + 1; a = 0, whose candidate is m + 1, counts only for
+        # t = 1.  Walking a down keeps each list increasing.
+        for a in range((hi - 1) // (r + 1), -t, -1):
             d = a + 1
-            for c in range(lo // d, (hi - 2) // d + 1):
+            for c in range(lo // d, (hi - 2 + t) // d + 1):
                 p = c + 1
                 if p > r and (not composite[p] if p <= bound else is_prime(p)):
-                    for k in range(max(lo, c * d + 1), min(hi, c * d + d)):
+                    for k in range(max(lo, c * d + 1 - t), min(hi, c * d + d)):
                         hits[k - lo].append(p)
         yield from hits
         lo = hi
@@ -167,17 +179,22 @@ def q_n_formula_range(start: int, stop: int) -> Iterator[SquarefreeProduct]:
     window of consecutive indices shares one sieve and one search."""
     if start < 0:
         raise ValueError(f"index must be nonnegative, got {start}")
-    return map(SquarefreeProduct._of_sorted_primes, _digit_sum_primes(start + 1, stop + 1))
+    return map(SquarefreeProduct._of_sorted_primes, _digit_sum_primes(start + 1, stop + 1, 0))
 
 
 def bernoulli_poly_denominator_formula(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x) as a squarefree product, without coefficients.
 
-    For odd n >= 3 it is the product of the primes p <= (n+1)/2 whose base-p
-    digit sum of n is at least p.  For even n the von Staudt-Clausen primes
-    appear, together with the primes p <= (n+1)/3 whose digit sum of n is at
-    least p.  n = 1 gives the bare factor 2.  The digit-sum primes come from
-    the same O(sqrt(n)) search as q_n_formula's.
+    The product of the primes p whose base-p digit sum s_p(n) is at least
+    p - 1, all of them at most n + 1.  Proof in three steps:
+    * the denominator of B_n(x) - B_n is the product of the p with
+      s_p(n) >= p (Kellner), and D(B_n(x)) is its lcm with that of B_n;
+    * by von Staudt-Clausen B_n's primes are the p with p - 1 dividing n,
+      but for odd n >= 3, where B_n = 0 and 2 is in the first set anyway;
+    * s_p(n) = n (mod p - 1) and s_p(n) >= 1, so p - 1 divides n exactly
+      when s_p(n) is a positive multiple of p - 1: the union is
+      s_p(n) >= p - 1.
+    The primes come from the same O(sqrt(n)) search as q_n_formula's.
     """
     return next(bernoulli_poly_denominator_formula_range(n, n + 1))
 
@@ -187,17 +204,7 @@ def bernoulli_poly_denominator_formula_range(start: int, stop: int) -> Iterator[
     bernoulli_poly_denominator_formula gives it, from one windowed search."""
     if start < 1:
         raise ValueError(f"polynomial denominator needs n >= 1, got {start}")
-    # The digit-sum primes of n under q_{n-1}'s bound: q_{n-1}'s own search.
-    return map(_poly_denominator, range(start, stop), _digit_sum_primes(start, stop))
-
-
-def _poly_denominator(n: int, ps: list[int]) -> SquarefreeProduct:
-    # lcm(denominator of B_n, q_{n-1}): B_1 = -1/2, and B_n = 0 for odd n >= 3.
-    if n % 2 == 0:
-        ps = sorted(set(clausen_denominator(n).primes).union(ps))
-    elif n == 1:
-        ps = [2]
-    return SquarefreeProduct._of_sorted_primes(ps)
+    return map(SquarefreeProduct._of_sorted_primes, _digit_sum_primes(start, stop, 1))
 
 
 class EpsilonVector(Record):

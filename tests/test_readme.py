@@ -50,7 +50,9 @@ def test_readme_entry_points_import_from_their_modules():
             assert getattr(import_module(f"powersum_denoms.{module}"), name)
 
 
-@pytest.mark.parametrize("name", ["Rational", "denom", "power_sum_poly", "binomial_valuation"])
+@pytest.mark.parametrize(
+    "name", ["Rational", "denom", "power_sum_poly", "binomial_valuation", "bernoulli_poly"]
+)
 def test_deleted_names_are_not_exported(name):
     assert name not in powersum_denoms.__all__
     with pytest.raises(AttributeError):

@@ -54,8 +54,11 @@ def test_psets_match_formula():
 
 def test_polynomial_denominator_formula_matches_lcm():
     # D(B_n(x)) = lcm(denominator of B_n, q_{n-1}); B_n is an integer (0)
-    # for odd n >= 3.
-    for n in _sample(300, 3001, 20):
+    # for odd n >= 3.  von Staudt-Clausen, by factorising n, is the oracle
+    # for the primes with p - 1 dividing n.  q_{n-1} comes from the epsilon
+    # route up to 3000 and, where that is too slow, from the q_n search.
+    decades = [n for lo in (10**k for k in range(3, 9)) for n in _sample(lo, 10 * lo, 3)]
+    for n in _sample(300, 3001, 20) + decades:
         den_b = clausen_denominator(n).value if n % 2 == 0 else 1
-        expected = lcm(den_b, q_n_epsilon(n - 1).value())
-        assert bernoulli_poly_denominator_formula(n).value == expected, f"seed={SEED}, n={n}"
+        q = q_n_epsilon(n - 1).value() if n <= 3000 else q_n_formula(n - 1).value
+        assert bernoulli_poly_denominator_formula(n).value == lcm(den_b, q), f"seed={SEED}, n={n}"
