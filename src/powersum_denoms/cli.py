@@ -4,17 +4,24 @@ Subcommands: ``seq`` emits integer sequences (d, q, and the two Bernoulli
 polynomial denominator variants) in plain, csv, or b-file form; ``poly``
 renders one power-sum polynomial over its least common denominator;
 ``verify`` runs the cross-checking suites; ``witness`` explains a prime
-factor of q_n; ``bench`` times the q_n routes against each other.
+factor of q_n; ``bench`` times the q_n methods against each other.
 
-Each subparser binds its ``cmd_*`` handler, which takes the parsed
+``COMMANDS`` declares each command once: its help line, its handler and
+its options.  ``main`` parses the argv that callers send (the command, then
+exact long flags each with a valid value, every required flag present)
+straight from that table; anything else, such as ``-h``, ``--to=5``, an
+abbreviated or unknown flag, or a bad or missing value, goes to the
+argparse parser that ``build_parser`` builds from the same table, the one
+source of usage, help and error text.  Each handler takes the parsed
 arguments, checks its own flags first and raises ``UsageError`` for a bad
-one.  The commands are tables over the library: ``Q_ROUTES`` holds the four
-q_n routes that ``seq``, ``bench`` and the agreement suite share;
-``SEQ_ROUTES`` maps each sequence to its methods and their routes over an
-index range;
-``SUITES`` is the tuple of verify suite names, in order; ``verify`` imports
-``checks`` and runs its generator of each name, one item per check: ``None``
-when it passes, its failure message when it fails.
+one.  ``cmd_seq`` lives here; the other four live in ``commands``, which is
+imported only when one of them is dispatched.  The commands are tables over
+the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
+and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
+methods and their routes over an index range; ``SUITES`` is the tuple of
+verify suite names, in order; ``verify`` imports ``checks`` and runs its
+generator of each name, one item per check: ``None`` when it passes, its
+failure message when it fails.
 Every command runs in the calling process, and none starts a process pool.
 ``verify --workers`` is still parsed and still rejects values below 1, and
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
@@ -22,12 +29,13 @@ passes it, and the next change to the harness removes it.
 
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
-``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula, and
-``witness``.  ``bernoulli`` and ``powersum`` are imported inside the paths
-that need them: the brute routes, ``poly`` and the verify suites.  Only
-``verify`` loads ``checks``, and each suite there imports the layers its
-checks use.  No command loads ``fractions`` or ``exact_poly``, the tests'
-polynomial oracle.
+``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula; a ``seq`` run
+loads neither ``argparse`` nor ``commands``, which the other four commands
+load and which is all ``witness`` adds.  ``bernoulli`` and ``powersum`` are
+imported inside the paths that need them: the brute routes, ``poly`` and
+the verify suites.  Only ``verify`` loads
+``checks``, and each suite there imports the layers its checks use.  No
+command loads ``fractions`` or ``exact_poly``, the tests' polynomial oracle.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on an input the library refuses, and on an index too large for the memory
@@ -41,20 +49,21 @@ term, so neither holds its output.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
 from importlib import import_module
 from operator import mul
+from types import SimpleNamespace
 
 from . import formulas, padic
 
 
-def _lazy(module: str, name: str) -> Callable[[int], object]:
-    # A route into a module that only some commands load: imported on the
-    # first call, and the function looked up at each call, like the others.
-    return lambda n: getattr(import_module(f"{__package__}.{module}"), name)(n)
+def _lazy(module: str, name: str) -> Callable[[object], object]:
+    # A route or handler in a module that only some commands load: imported
+    # on the first call, and the function looked up at each call, like the
+    # others.
+    return lambda x: getattr(import_module(f"{__package__}.{module}"), name)(x)
 
 
 # The four routes to q_n.  Each looks its function up when it is called, so a
@@ -104,7 +113,7 @@ def _nonneg(flag: str, value: int) -> None:
         raise UsageError(f"{flag} must be nonnegative, got {value}")
 
 
-def cmd_seq(args: argparse.Namespace) -> int:
+def cmd_seq(args: SimpleNamespace) -> int:
     sequence, method, start, end = args.sequence, args.method, args.start, args.end
     _nonneg("--from", start)
     if end < start:
@@ -125,66 +134,6 @@ def cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-def _poly_pieces(denominator: int, coeffs: Sequence[int]) -> Iterator[str]:
-    # The output line of ``poly``, one term and its separator at a time.
-    if denominator != 1:
-        yield f"1/{denominator} * ("
-    sep = ("", "-")
-    for power in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[power]
-        if c == 0:
-            continue
-        x = "" if power == 0 else "x" if power == 1 else f"x^{power}"
-        yield f"{sep[c < 0]}{'' if abs(c) == 1 and x else abs(c)}{x}"
-        sep = (" + ", " - ")
-    yield "\n" if denominator == 1 else ")\n"
-
-
-def cmd_poly(args: argparse.Namespace) -> int:
-    n = args.n
-    _nonneg("--n", n)
-    if n == 0 and not args.shifted:
-        raise UsageError("the unshifted power sum needs --n >= 1")
-    if n == 0:
-        print("x")
-        return 0
-    from . import powersum
-
-    form = powersum.faulhaber_form(n)
-    coeffs = form.coeffs
-    if not args.shifted:
-        # S_n(x) = (S_n(x) + x^n) - x^n, over the same denominator d_n.
-        coeffs = list(coeffs)
-        coeffs[n] -= form.denominator
-    sys.stdout.writelines(_poly_pieces(form.denominator, coeffs))
-    return 0
-
-
-def cmd_witness(args: argparse.Namespace) -> int:
-    n, p = args.n, args.p
-    _nonneg("--n", n)
-    # A prime above the sharp bound never divides q_n.
-    if p > formulas._prime_limit(n):
-        raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
-    q = formulas.q_n_formula(n)
-    if p == 2 or not padic.is_prime(p):
-        raise UsageError(f"--p must be an odd prime, got {p}")
-    if p not in q.primes:
-        raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
-    w = padic.marble_witness(n + 1, p)
-    residue = padic.lucas_binom_mod(n + 1, w.b, p)
-    print(f"n = {n}, p = {p}")
-    print(f"q_{n} = {q.value} = {' * '.join(str(f) for f in q.primes)}")
-    print(f"j = {w.j}, b = j*(p-1) = {w.b}")
-    print(f"digits of b in base {p} (low to high): {list(w.beta_digits.digits)}")
-    print(f"binomial({n + 1}, {w.b}) mod {p} = {residue}")
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# verify
-
-
 def __getattr__(name: str):
     # Only perfbench/tracer.py reads ``cli.ProcessPoolExecutor``: it rebinds
     # it to count pool starts, and no command starts a pool.  Imported on
@@ -201,118 +150,110 @@ def __getattr__(name: str):
 SUITES = ("agreement", "clausen", "hermite", "bounds", "witnesses", "almkvist")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    _nonneg("--max-n", args.max_n)
-    from . import checks
-
-    failed = False
-    for name in SUITES if args.suite == "all" else (args.suite,):
-        results = list(getattr(checks, name)(args.max_n))
-        failures = [message for message in results if message is not None]
-        if failures:
-            failed = True
-            print(f"{name}: FAIL ({len(failures)} of {len(results)} checks)")
-            for message in failures[:5]:
-                print(f"  {message}")
-            if len(failures) > 5:
-                print(f"  ... and {len(failures) - 5} more")
-        else:
-            print(f"{name}: PASS ({len(results)} checks)")
-    return 1 if failed else 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    if args.spot is None:
-        _nonneg("--max-n", args.max_n)
-        indices = range(args.max_n + 1)
-        label = f"n = 0..{args.max_n}"
-    else:
-        _nonneg("--spot", args.spot)
-        indices = range(args.spot, args.spot + 1)
-        label = f"n = {args.spot}"
-    methods = args.methods or METHODS
-
-    # Each route runs in this process.  The B_n(x) cache holds one entry, so
-    # the brute route's timed runs over a range rebuild each B_n(x).
-    baseline = [Q_ROUTES[methods[0]](n) for n in indices]
-    for method in methods[1:]:
-        if [Q_ROUTES[method](n) for n in indices] != baseline:
-            raise ArithmeticError(
-                f"method {method!r} disagrees with {methods[0]!r} over {label}"
-            )
-
-    import timeit
-
-    timings = []
-    for method in methods:
-        route = Q_ROUTES[method]
-        runs = timeit.repeat(lambda: [route(n) for n in indices], number=1, repeat=3)
-        timings.append((method, min(runs) * 1000))
-
-    if args.fmt == "csv":
-        print("method,min_ms")
-        line = "{},{:.3f}"
-    else:
-        print(f"values agree across methods for {label}")
-        line = "{:>8}  {:10.3f} ms"
-    for method, ms in timings:
-        print(line.format(method, ms))
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command's help line, handler and options, the one declaration of the
+# grammar: an option is its flag and the keywords argparse's add_argument
+# takes for it.  The fast parse reads dest, type (int), choices, action
+# (store_true or append), default (None if absent, as in argparse) and
+# required from the same entries.
+COMMANDS = {
+    "seq": ("emit a denominator sequence", cmd_seq, {
+        "--seq": {"dest": "sequence", "choices": SEQUENCES, "default": "q"},
+        "--from": {"dest": "start", "type": int, "default": 0, "metavar": "N"},
+        "--to": {"dest": "end", "type": int, "required": True, "metavar": "N"},
+        "--format": {"dest": "fmt", "choices": ("plain", "csv", "bfile"), "default": "plain"},
+        "--method": {"dest": "method", "choices": METHODS, "default": "formula"},
+    }),
+    "poly": ("render one power-sum polynomial", _lazy("commands", "cmd_poly"), {
+        "--n": {"dest": "n", "type": int, "required": True},
+        "--shifted": {"dest": "shifted", "action": "store_true", "default": False,
+                      "help": "sum up to x^n instead of (x-1)^n"},
+    }),
+    "verify": ("run cross-checking suites", _lazy("commands", "cmd_verify"), {
+        "--suite": {"dest": "suite", "choices": (*SUITES, "all"), "default": "all"},
+        "--max-n": {"dest": "max_n", "type": int, "default": 50},
+        "--workers": {"dest": "workers", "type": int, "default": 1,
+                      "help": "no effect: verify runs in one process (to be removed)"},
+    }),
+    "witness": ("explain a prime factor of q_n", _lazy("commands", "cmd_witness"), {
+        "--n": {"dest": "n", "type": int, "required": True},
+        "--p": {"dest": "p", "type": int, "required": True},
+    }),
+    "bench": ("time the q_n methods against each other", _lazy("commands", "cmd_bench"), {
+        "--max-n": {"dest": "max_n", "type": int, "default": 100},
+        "--method": {"dest": "methods", "action": "append", "choices": METHODS},
+        "--spot": {"dest": "spot", "type": int, "metavar": "N",
+                   "help": "time a single index instead of a range"},
+        "--format": {"dest": "fmt", "choices": ("plain", "csv"), "default": "plain"},
+    }),
+}
+
+
+def _parse(argv: Sequence[str]) -> SimpleNamespace | None:
+    # The argv every real caller sends: the command, then exact long flags,
+    # each with a valid value, and every required flag.  Anything else (help,
+    # --to=5, an abbreviated or unknown flag, a bad or missing value) is
+    # None, for argparse to parse or to explain.
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, run, options = COMMANDS[argv[0]]
+    values = {option["dest"]: option.get("default") for option in options.values()}
+    missing = {flag for flag, option in options.items() if option.get("required")}
+    words = iter(argv[1:])
+    for flag in words:
+        option = options.get(flag)
+        if option is None:
+            return None
+        missing.discard(flag)
+        dest, action = option["dest"], option.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(words, None)
+        if value is None:
+            return None
+        if option.get("type") is int:
+            # argparse takes a word that starts with "-" for a flag unless
+            # it reads as a negative number.
+            if value[:1] == "-" and not value[1:].isdecimal():
+                return None
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif value not in option["choices"]:
+            return None
+        values[dest] = [*(values[dest] or ()), value] if action == "append" else value
+    if missing:
+        return None
+    return SimpleNamespace(command=argv[0], **values, run=run)
+
+
+def build_parser():
+    # The one source of usage, help and error text; main() builds it only
+    # for an argv that the fast parse does not take.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="powersum-denoms",
         description="Exact denominators of power-sum and Bernoulli polynomials.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seq = sub.add_parser("seq", help="emit a denominator sequence")
-    seq.add_argument("--seq", dest="sequence", choices=SEQUENCES, default="q")
-    seq.add_argument("--from", dest="start", type=int, default=0, metavar="N")
-    seq.add_argument("--to", dest="end", type=int, required=True, metavar="N")
-    seq.add_argument("--format", dest="fmt", choices=("plain", "csv", "bfile"), default="plain")
-    seq.add_argument("--method", choices=METHODS, default="formula")
-    seq.set_defaults(run=cmd_seq)
-
-    poly = sub.add_parser("poly", help="render one power-sum polynomial")
-    poly.add_argument("--n", type=int, required=True)
-    poly.add_argument("--shifted", action="store_true", help="sum up to x^n instead of (x-1)^n")
-    poly.set_defaults(run=cmd_poly)
-
-    verify = sub.add_parser("verify", help="run cross-checking suites")
-    verify.add_argument("--suite", choices=(*SUITES, "all"), default="all")
-    verify.add_argument("--max-n", dest="max_n", type=int, default=50)
-    verify.add_argument("--workers", type=int, default=1, help="no effect: verify runs in one process (to be removed)")
-    verify.set_defaults(run=cmd_verify)
-
-    witness = sub.add_parser("witness", help="explain a prime factor of q_n")
-    witness.add_argument("--n", type=int, required=True)
-    witness.add_argument("--p", type=int, required=True)
-    witness.set_defaults(run=cmd_witness)
-
-    bench = sub.add_parser("bench", help="time the q_n methods against each other")
-    bench.add_argument("--max-n", dest="max_n", type=int, default=100)
-    bench.add_argument("--method", dest="methods", action="append", choices=METHODS, default=None)
-    bench.add_argument("--spot", type=int, default=None, metavar="N", help="time a single index instead of a range")
-    bench.add_argument("--format", dest="fmt", choices=("plain", "csv"), default="plain")
-    bench.set_defaults(run=cmd_bench)
-
+    for command, (summary, run, options) in COMMANDS.items():
+        command_parser = sub.add_parser(command, help=summary)
+        for flag, option in options.items():
+            command_parser.add_argument(flag, **option)
+        command_parser.set_defaults(run=run)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parse(argv) or build_parser().parse_args(argv)
     if hasattr(sys, "set_int_max_str_digits"):
         # q_n at n = 10^8 has more than the 4,300 digits CPython converts to
         # str by default (3.10.7 on); the input was parsed above, under it.

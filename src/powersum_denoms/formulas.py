@@ -18,7 +18,7 @@ sum a + b is at least p exactly when p <= (n+1+a)/(a+1); together with
 p > (n+1)/(a+1) that leaves one candidate per quotient a, which needs only a
 primality test (Kellner, "On a product of certain primes", J. Number Theory,
 2017).  The search runs over windows of consecutive indices: one sieve per
-window lists the small primes and decides the candidates up to a fixed
+search lists the small primes and decides the candidates up to a fixed
 bound by lookup, each small prime's digit sum is carried from one index to
 the next, and each quotient's candidate is decided once for the run of
 indices that share it.  A single index is a window of one.
@@ -126,16 +126,22 @@ def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
     digit sum of m is at least p - t, in increasing order, for t = 0 or 1.
     A digit sum of m is at most m, so p <= m + t; for t = 0 the sum also needs
     m >= 2p - 1, and, for odd p and even m, an even sum, so m >= 3p - 1."""
+    # One sieve per call lists the primes up to isqrt(stop - 1), every
+    # window's r, and decides the candidates up to bound by lookup.  The last
+    # candidate is stop, a = 0's for m = stop - 1, when t = 1, and otherwise
+    # (stop + 1) // 2; a single index sieves to 64 times its r.
+    if start >= stop:
+        return
+    top = isqrt(stop - 1)
+    last = stop if t else (stop + 1) // 2
+    bound = max(top, min(last, max(64, stop - start) * top, 1 << 20))
+    composite = _sieve(bound)
     lo = start
     while lo < stop:
         # A window holds its indices' primes until it yields them, about
         # isqrt(m) / 10 each near m = 10^12, so it narrows as m grows.
         hi = min(stop, lo + max(1, min(64, (1 << 22) // isqrt(lo))))
         r = isqrt(hi - 1)
-        # One sieve lists the primes up to r and decides the candidates up to
-        # bound by lookup; the largest candidate but a = 0's is (hi + 1) // 2.
-        bound = max(r, min((hi + 1) // 2, 64 * r, 1 << 20))
-        composite = _sieve(bound)
         hits: list[list[int]] = [[] for _ in range(lo, hi)]
         # Up to r, p's digit sum rises by one from m to m + 1, and is formed
         # again only at each multiple of p.

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from powersum_denoms import bernoulli, cli, formulas, padic
 from powersum_denoms.checks import hermite as _suite_hermite
-from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, _poly_pieces, main
+from powersum_denoms.cli import METHODS, SEQUENCES, SUITES, main
+from powersum_denoms.commands import _poly_pieces
 from powersum_denoms.exact_poly import RationalPolynomial, content_split
 from powersum_denoms.powersum import faulhaber_form, power_sum_oracle
 
@@ -425,34 +426,50 @@ def test_witness_near_the_miller_rabin_bound_ends_at_once():
 
 
 def test_commands_load_only_the_layers_they_use():
-    # The package import loads no submodule.  The digit-based q_n routes,
-    # Dclausen and Dpoly by formula, and witness need neither the Bernoulli
-    # nor the power-sum layer; poly and the brute route in bench need both.
-    # Only verify loads the suites in checks.  No command loads fractions or
-    # the polynomial oracle in exact_poly: only the Fraction views such as
-    # shifted_power_sum_poly do.  No run loads dataclasses.
+    # The package import loads no submodule.  The argv of every benchmark
+    # job (the q and Dpoly b-file windows, poly --n N --shifted, verify
+    # --suite all --max-n 60 --workers 2 and seq --method brute) is parsed
+    # without argparse, which only help and usage errors load.  seq loads
+    # neither the other commands' handlers nor the Bernoulli or power-sum
+    # layers; witness adds the handlers, and poly and the brute routes the
+    # two layers.  Only verify loads the suites in checks.  No command loads
+    # fractions or the polynomial oracle in exact_poly: only the Fraction
+    # views such as shifted_power_sum_poly do.  No run loads dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
-        "heavy = {'fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.powersum',\n"
-        "         'powersum_denoms.exact_poly', 'powersum_denoms.checks', 'dataclasses'}\n"
+        "heavy = {'argparse', 'fractions', 'powersum_denoms.bernoulli',\n"
+        "         'powersum_denoms.checks', 'powersum_denoms.commands',\n"
+        "         'powersum_denoms.exact_poly', 'powersum_denoms.powersum', 'dataclasses'}\n"
         "def report(names):\n"
         "    print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
-        "report({m for m in sys.modules if m.startswith('powersum_denoms.')} | {'dataclasses'})\n"
+        "report({m for m in sys.modules if m.startswith('powersum_denoms.')} | heavy)\n"
         "from powersum_denoms import cli\n"
         "cli.main(['seq', '--seq', 'q', '--to', '5'])\n"
+        "cli.main(['seq', '--seq', 'q', '--format', 'bfile', '--from', '9000', '--to', '9009'])\n"
+        "cli.main(['seq', '--seq', 'Dpoly', '--format', 'bfile', '--from', '9000', '--to', '9004'])\n"
         "cli.main(['seq', '--seq', 'Dclausen', '--from', '2', '--to', '10'])\n"
         "cli.main(['seq', '--seq', 'Dpoly', '--from', '1', '--to', '12'])\n"
+        "report(heavy)\n"
         "cli.main(['witness', '--n', '20', '--p', '11'])\n"
         "report(heavy)\n"
-        "cli.main(['poly', '--n', '4'])\n"
+        "cli.main(['poly', '--n', '4', '--shifted'])\n"
+        "cli.main(['seq', '--seq', 'q', '--method', 'brute', '--from', '0', '--to', '20'])\n"
         "cli.main(['bench', '--max-n', '5'])\n"
         "report(heavy)\n"
         "cli.main(['verify', '--suite', 'hermite', '--max-n', '5'])\n"
-        "cli.main(['verify', '--suite', 'all', '--max-n', '8'])\n"
+        "cli.main(['verify', '--suite', 'all', '--max-n', '60', '--workers', '2'])\n"
         "report(heavy)\n"
         "from powersum_denoms import powersum\n"
         "powersum.shifted_power_sum_poly(3)\n"
+        "report(heavy)\n"
+        "import contextlib, io\n"
+        "usage = io.StringIO()\n"
+        "try:\n"
+        "    with contextlib.redirect_stderr(usage):\n"
+        "        cli.main(['seq', '--to'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, usage.getvalue().split(' [')[0], file=sys.stderr)\n"
         "report(heavy)\n"
     )
     proc = _python("-c", script, timeout=60)
@@ -460,10 +477,15 @@ def test_commands_load_only_the_layers_they_use():
     assert proc.stderr.decode().splitlines() == [
         "[]",
         "[]",
-        "['powersum_denoms.bernoulli', 'powersum_denoms.powersum']",
-        "['powersum_denoms.bernoulli', 'powersum_denoms.checks', 'powersum_denoms.powersum']",
+        "['powersum_denoms.commands']",
+        "['powersum_denoms.bernoulli', 'powersum_denoms.commands', 'powersum_denoms.powersum']",
+        "['powersum_denoms.bernoulli', 'powersum_denoms.checks', 'powersum_denoms.commands', "
+        "'powersum_denoms.powersum']",
         "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
-        "'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
+        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
+        "2 usage: powersum-denoms seq",
+        "['argparse', 'fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
+        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
     ]
 
 
@@ -768,3 +790,69 @@ def test_cli_exits_0_1_or_2_without_a_traceback(argv):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+def _argparse_parse(argv):
+    # argparse's namespace for argv, or None where it prints help or a usage
+    # error and exits.
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return cli.build_parser().parse_args(argv)
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_table_parse_matches_argparse_on_the_grammar(argv):
+    # Exact flags with plain values: the table parse takes every argv that
+    # argparse takes, with the same namespace and handler, and no other.
+    fast, slow = cli._parse(argv), _argparse_parse(argv)
+    assert (fast is None) == (slow is None), argv
+    if fast is not None:
+        assert vars(fast) == vars(slow), argv
+
+
+_FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag in options})
+_CHOICES = sorted({
+    choice
+    for _, _, options in cli.COMMANDS.values()
+    for option in options.values()
+    for choice in option.get("choices", ())
+})
+_WORDS = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.sampled_from((
+        "-", "1.5", "ten", "1_000", "9" * 4301, "", "-0", " 7", "+3", "-1_0",
+        "json", "nope", *_CHOICES,
+    )),
+    st.sampled_from((*_FLAGS, "--fr", "--to=3", "-h", "--help", "--", "-t")),
+)
+
+
+@st.composite
+def _noisy_argv(draw):
+    # A command (or not), some of its flags with any value, then other
+    # commands' flags, abbreviations, help, "--" and stray values anywhere.
+    command = draw(st.sampled_from((*cli.COMMANDS, "nope", "-h", "")))
+    argv = [command]
+    for flag, option in cli.COMMANDS.get(command, (None, None, {}))[2].items():
+        if option.get("required") or draw(st.booleans()):
+            argv.append(flag)
+            if option.get("action") != "store_true":
+                argv.append(draw(_WORDS))
+    for word in draw(st.lists(_WORDS, max_size=3)):
+        argv.insert(draw(st.integers(1, len(argv))), word)
+    return argv
+
+
+@settings(max_examples=400, deadline=None)
+@given(_noisy_argv())
+def test_table_parse_is_argparse_or_none(argv):
+    # Whatever the argv, the table parse either declines it or returns
+    # exactly argparse's namespace, handler included.
+    fast = cli._parse(argv)
+    if fast is not None:
+        slow = _argparse_parse(argv)
+        assert slow is not None and vars(fast) == vars(slow), argv
+

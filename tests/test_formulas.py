@@ -345,8 +345,8 @@ def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
 
 def test_poly_denominator_window_tests_each_index_once(monkeypatch):
     # D(B_n(x)) reads the von Staudt-Clausen primes off the digit sums: no
-    # factorisation, and one primality test per index, of n + 1, which lies
-    # above the sieve's lookup bound.
+    # factorisation, and no primality test: the search's one sieve reaches
+    # the window's last n + 1, so every candidate is decided by lookup.
     calls = []
     real = padic.is_prime
 
@@ -362,4 +362,4 @@ def test_poly_denominator_window_tests_each_index_once(monkeypatch):
     monkeypatch.setattr(formulas, "clausen_denominator", refused)
     monkeypatch.setattr(formulas, "_prime_factors", refused)
     assert len(list(bernoulli_poly_denominator_formula_range(9000, 9125))) == 125
-    assert calls == list(range(9001, 9126))
+    assert calls == []

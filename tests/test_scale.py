@@ -1,7 +1,8 @@
 """The q_n and D(B_n(x)) routes against independent ones past n = 300, where
-the four-route agreement stops, and the paper's structural facts about q_n:
-seeded sparse indices, a few per decade.  Each assertion message names the
-seed, so a failure can be replayed."""
+the four-route agreement stops, the paper's structural facts about q_n, and
+known answers from Carmichael numbers: seeded sparse indices, a few per
+decade.  Each assertion message names the seed, so a failure can be
+replayed."""
 
 import random
 from math import lcm
@@ -13,8 +14,10 @@ from powersum_denoms.formulas import (
     clausen_denominator,
     q_n_epsilon,
     q_n_formula,
+    q_n_formula_range,
     q_n_via_psets,
 )
+from powersum_denoms.padic import is_prime
 
 SEED = 20170511
 
@@ -62,3 +65,24 @@ def test_polynomial_denominator_formula_matches_lcm():
         den_b = clausen_denominator(n).value if n % 2 == 0 else 1
         q = q_n_epsilon(n - 1).value() if n <= 3000 else q_n_formula(n - 1).value
         assert bernoulli_poly_denominator_formula(n).value == lcm(den_b, q), f"seed={SEED}, n={n}"
+
+
+# Carmichael numbers m divide q_{m-1}: Korselt's criterion gives m squarefree
+# and p - 1 | m - 1 for every p | m, so s_p(m) = m = 1 (mod p - 1), and
+# s_p(m) > 1 since m is not a power of p; hence s_p(m) >= p (Kellner and
+# Sondow, arXiv:1902.10672).  A known answer at any scale.
+def test_small_carmichael_numbers_divide_q():
+    for m in (561, 1105, 1729, 2465, 2821, 6601):
+        assert q_n_formula(m - 1).value % m == 0, m
+
+
+def test_chernick_carmichael_number_near_10_9_divides_q():
+    # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three
+    # factors are prime; the search from a seeded k lands near 10^9.
+    k = random.Random(f"{SEED}:chernick").randrange(80, 101)
+    while not all(is_prime(c * k + 1) for c in (6, 12, 18)):
+        k += 1
+    m = (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+    assert q_n_formula(m - 1).value % m == 0, f"seed={SEED}, k={k}, m={m}"
+    window = list(q_n_formula_range(m - 3, m + 2))
+    assert window[2].value % m == 0, f"seed={SEED}, k={k}, m={m}"
