@@ -18,10 +18,11 @@ sum a + b is at least p exactly when p <= (n+1+a)/(a+1); together with
 p > (n+1)/(a+1) that leaves one candidate per quotient a, which needs only a
 primality test (Kellner, "On a product of certain primes", J. Number Theory,
 2017).  The search runs over windows of consecutive indices: one sieve per
-search lists the small primes and decides the candidates up to a fixed
-bound by lookup, each small prime's digit sum is carried from one index to
-the next, and each quotient's candidate is decided once for the run of
-indices that share it.  A single index is a window of one.
+search, grown as its windows need, lists the small primes and decides the
+candidates up to a fixed bound by lookup, each small prime's digit sum is
+carried from one index to the next, and each quotient's candidate is
+decided once for the run of indices that share it.  A single index is a
+window of one.
 
 The denominator D(B_n(x)) of the Bernoulli polynomial is the product of
 the primes p whose base-p digit sum s_p(n) is at least p - 1, for every
@@ -126,22 +127,30 @@ def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
     digit sum of m is at least p - t, in increasing order, for t = 0 or 1.
     A digit sum of m is at most m, so p <= m + t; for t = 0 the sum also needs
     m >= 2p - 1, and, for odd p and even m, an even sum, so m >= 3p - 1."""
-    # One sieve per call lists the primes up to isqrt(stop - 1), every
-    # window's r, and decides the candidates up to bound by lookup.  The last
-    # candidate is stop, a = 0's for m = stop - 1, when t = 1, and otherwise
-    # (stop + 1) // 2; a single index sieves to 64 times its r.
+    # One sieve serves the call's windows: it lists the primes up to each
+    # window's r and decides its candidates up to its last, hi (a = 0's) for
+    # t = 1 and otherwise (hi + 1) // 2, by lookup as far as cap.  A window
+    # that needs more makes it again, to r and twice that candidate, never
+    # past the call's own need: a short range sieves once, a single index to
+    # 64 times its r, and a range with a large stop holds no more than
+    # max(r, 2^20) bytes at any index it has reached.  r grows by one only
+    # every 2r indices, so sieving to r again costs little per index.
     if start >= stop:
         return
     top = isqrt(stop - 1)
-    last = stop if t else (stop + 1) // 2
-    bound = max(top, min(last, max(64, stop - start) * top, 1 << 20))
-    composite = _sieve(bound)
+    cap = min(max(64, stop - start) * top, 1 << 20)
+    bound = max(top, min(stop if t else (stop + 1) // 2, cap))
+    composite = bytearray()
     lo = start
     while lo < stop:
         # A window holds its indices' primes until it yields them, about
         # isqrt(m) / 10 each near m = 10^12, so it narrows as m grows.
         hi = min(stop, lo + max(1, min(64, (1 << 22) // isqrt(lo))))
         r = isqrt(hi - 1)
+        last = min(hi if t else (hi + 1) // 2, cap)
+        if max(r, last) >= len(composite):
+            composite = _sieve(min(bound, max(r, min(2 * last, cap))))
+        size = len(composite) - 1
         hits: list[list[int]] = [[] for _ in range(lo, hi)]
         # Up to r, p's digit sum rises by one from m to m + 1, and is formed
         # again only at each multiple of p.
@@ -164,7 +173,7 @@ def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
             d = a + 1
             for c in range(lo // d, (hi - 2 + t) // d + 1):
                 p = c + 1
-                if p > r and (not composite[p] if p <= bound else is_prime(p)):
+                if p > r and (not composite[p] if p <= size else is_prime(p)):
                     for k in range(max(lo, c * d + 1 - t), min(hi, c * d + d)):
                         hits[k - lo].append(p)
         yield from hits

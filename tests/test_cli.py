@@ -687,6 +687,35 @@ def test_seq_closed_pipe_exits_quietly():
     assert err == b""
 
 
+@pytest.mark.parametrize(
+    ("seq", "start", "head"),
+    [("q", "0", b"1\n1\n2\n1\n6\n"), ("Dpoly", "1", b"2\n6\n2\n30\n6\n")],
+    ids=("q", "Dpoly"),
+)
+def test_seq_wide_range_streams_in_a_small_sieve(seq, start, head):
+    # A range to 10^18 prints its first values at once, as `seq ... | head`
+    # reads them, in 512 MiB of address space: its search sieves for the
+    # indices it has reached, not the 10^9 that its stop would take.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "powersum_denoms", "seq", "--seq", seq,
+         "--from", start, "--to", str(10**18)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_checkout_env(),
+        preexec_fn=_cap_address_space,
+    )
+    try:
+        assert b"".join(proc.stdout.readline() for _ in range(5)) == head
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err == b""
+
+
 def test_poly_closed_pipe_exits_quietly():
     # One line longer than a pipe buffers, written a term at a time, so the
     # writer meets the closed pipe in the middle of the line.
