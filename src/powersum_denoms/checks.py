@@ -1,20 +1,23 @@
-"""The ``verify`` suites, one generator each over the indices up to ``max_n``.
+"""The ``verify`` suites, one generator each over the indices up to ``max_n``,
+and ``cmd_verify``, the handler that runs them.
 
-Each yields one item per check: ``None`` when it passes, its failure message
-when it fails.  Only ``verify`` imports this module, and it runs the suites
-named in ``cli.SUITES``.  Library functions are looked up on their modules
-at each call, so a rebound attribute (a tracing wrapper, say) is the one
-checked, and a suite imports the Bernoulli or power-sum layer only if it
-uses it: ``verify --suite hermite`` loads neither.
+Each suite yields one item per check: ``None`` when it passes, its failure
+message when it fails.  ``cmd_verify`` runs the suites named in
+``cli.SUITES`` and prints one line per suite; ``cli`` imports this module
+only when it dispatches ``verify``.  Library functions are looked up on
+their modules at each call, so a rebound attribute (a tracing wrapper, say)
+is the one checked, and a suite imports the Bernoulli or power-sum layer
+only if it uses it: ``verify --suite hermite`` loads neither.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from math import prod
+from types import SimpleNamespace
 
 from . import formulas, padic
-from .cli import Q_ROUTES
+from .cli import Q_ROUTES, SUITES, UsageError, _nonneg
 
 
 def agreement(max_n: int) -> Iterator[str | None]:
@@ -69,8 +72,7 @@ def witnesses(max_n: int) -> Iterator[str | None]:
             if p == 2:
                 continue
             try:
-                # p is a prime of q_n_formula(n), so the base check is skipped.
-                padic._marble_witness(n + 1, p)
+                padic.marble_witness(n + 1, p)
                 yield None
             except (ValueError, ArithmeticError) as exc:
                 yield f"witness failed at n={n}, p={p}: {exc}"
@@ -93,3 +95,23 @@ def almkvist(max_n: int) -> Iterator[str | None]:
         for h, oks in zip(range(-10, 11), zip(*rows)):
             for k, ok in enumerate(oks, start=1):
                 yield None if ok else f"k^n (B_n(h/k) - B_n) not integral at n={n}, h={h}, k={k}"
+
+
+def cmd_verify(args: SimpleNamespace) -> int:
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    _nonneg("--max-n", args.max_n)
+    failed = False
+    for name in SUITES if args.suite == "all" else (args.suite,):
+        results = list(globals()[name](args.max_n))
+        failures = [message for message in results if message is not None]
+        if failures:
+            failed = True
+            print(f"{name}: FAIL ({len(failures)} of {len(results)} checks)")
+            for message in failures[:5]:
+                print(f"  {message}")
+            if len(failures) > 5:
+                print(f"  ... and {len(failures) - 5} more")
+        else:
+            print(f"{name}: PASS ({len(results)} checks)")
+    return 1 if failed else 0

@@ -14,14 +14,15 @@ abbreviated or unknown flag, or a bad or missing value, goes to the
 argparse parser that ``build_parser`` builds from the same table, the one
 source of usage, help and error text.  Each handler takes the parsed
 arguments, checks its own flags first and raises ``UsageError`` for a bad
-one.  ``cmd_seq`` lives here; the other four live in ``commands``, which is
-imported only when one of them is dispatched.  The commands are tables over
+one.  ``cmd_seq`` lives here, ``verify``'s handler beside its suites in
+``checks``, and the other three in ``commands``; each module is imported
+only when one of its commands is dispatched.  The commands are tables over
 the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
-and the agreement suite share; ``SEQ_ROUTES`` maps each sequence to its
-methods and their routes over an index range; ``SUITES`` is the tuple of
-verify suite names, in order; ``verify`` imports ``checks`` and runs its
-generator of each name, one item per check: ``None`` when it passes, its
-failure message when it fails.
+and the agreement suite share; ``SEQ_METHODS`` lists each sequence's
+methods, and ``seq_values`` streams a sequence over a range of indices by
+one of them; ``SUITES`` is the tuple of verify suite names, in order, each
+the name of a generator in ``checks`` of one item per check: ``None`` when
+it passes, its failure message when it fails.
 Every command runs in the calling process, and none starts a process pool.
 ``verify --workers`` is still parsed and still rejects values below 1, and
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
@@ -30,16 +31,17 @@ passes it, and the next change to the harness removes it.
 A run imports only what its command uses.  The module itself loads
 ``formulas`` and ``padic``, enough for the three digit-based q_n routes,
 ``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula; a ``seq`` run
-loads neither ``argparse`` nor ``commands``, which the other four commands
-load and which is all ``witness`` adds.  ``bernoulli`` and ``powersum`` are
-imported inside the paths that need them: the brute routes, ``poly`` and
-the verify suites.  Only ``verify`` loads
-``checks``, and each suite there imports the layers its checks use.  No
-command loads ``fractions`` or ``exact_poly``, the tests' polynomial oracle.
+loads neither ``argparse`` nor ``commands``, which ``poly``, ``witness`` and
+``bench`` load and which is all ``witness`` adds.  ``bernoulli`` and
+``powersum`` are imported inside the paths that need them: the brute
+routes, ``poly`` and the verify suites.  Only ``verify`` loads ``checks``,
+and not ``commands``; each suite there imports the layers its checks use.
+No command loads ``fractions`` or ``exact_poly``, the tests' polynomial
+oracle.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on an input the library refuses, and on an index too large for the memory
-at hand.
+at hand or for a table's size.
 A reader that closes the output pipe early ends the run quietly with 0, and
 an interrupt (Ctrl-C) ends it quietly with 130.
 All output except timings is deterministic.  ``seq`` writes each value as
@@ -77,31 +79,27 @@ Q_ROUTES = {
 METHODS = tuple(Q_ROUTES)
 
 
-def _each(route: Callable[[int], object]) -> Callable[[range], Iterator[object]]:
-    # A per-index route over a range of indices.
-    return lambda ns: map(route, ns)
+# Each sequence's methods, in the order --seq lists them.
+SEQ_METHODS = {"d": METHODS, "q": METHODS, "Dclausen": ("formula",), "Dpoly": ("formula", "brute")}
+SEQUENCES = tuple(SEQ_METHODS)
 
 
-# Each sequence's methods and their routes over a range of indices, in the
-# order --seq lists them.  q_n and D(B_n(x)) by formula search each window of
-# indices once; d_n is (n+1) * q_n by each q_n route.
-Q_RANGES = {method: _each(route) for method, route in Q_ROUTES.items()}
-Q_RANGES["formula"] = lambda ns: (q.value for q in formulas.q_n_formula_range(ns.start, ns.stop))
-SEQ_ROUTES = {
-    "d": {
-        method: lambda ns, q=q: map(mul, range(ns.start + 1, ns.stop + 1), q(ns))
-        for method, q in Q_RANGES.items()
-    },
-    "q": Q_RANGES,
-    "Dclausen": {"formula": _each(lambda n: formulas.clausen_denominator(n).value)},
-    "Dpoly": {
-        "formula": lambda ns: (
-            D.value for D in formulas.bernoulli_poly_denominator_formula_range(ns.start, ns.stop)
-        ),
-        "brute": _each(_lazy("bernoulli", "bernoulli_poly_denominator_direct")),
-    },
-}
-SEQUENCES = tuple(SEQ_ROUTES)
+def seq_values(sequence: str, method: str, ns: range) -> Iterator[int]:
+    # The values of a sequence at the indices ns by one of its methods.  q_n
+    # and D(B_n(x)) by formula search each window of indices once; d_n is
+    # (n+1) * q_n by each q_n route.
+    if sequence == "Dclausen":
+        return (formulas.clausen_denominator(n).value for n in ns)
+    if sequence == "Dpoly" and method == "formula":
+        Ds = formulas.bernoulli_poly_denominator_formula_range(ns.start, ns.stop)
+        return (D.value for D in Ds)
+    if sequence == "Dpoly":
+        return map(_lazy("bernoulli", "bernoulli_poly_denominator_direct"), ns)
+    if method == "formula":
+        qs = (q.value for q in formulas.q_n_formula_range(ns.start, ns.stop))
+    else:
+        qs = map(Q_ROUTES[method], ns)
+    return qs if sequence == "q" else map(mul, range(ns.start + 1, ns.stop + 1), qs)
 
 
 class UsageError(ValueError):
@@ -118,8 +116,7 @@ def cmd_seq(args: SimpleNamespace) -> int:
     _nonneg("--from", start)
     if end < start:
         raise UsageError(f"--to must be >= --from, got {start}..{end}")
-    route = SEQ_ROUTES[sequence].get(method)
-    if route is None:
+    if method not in SEQ_METHODS[sequence]:
         raise UsageError(f"method {method!r} is not available for --seq {sequence}")
     if sequence == "Dclausen" and (start % 2 or end % 2 or start < 2):
         raise UsageError("--seq Dclausen needs an even range starting at 2 or above")
@@ -129,7 +126,7 @@ def cmd_seq(args: SimpleNamespace) -> int:
         print("n,value,method")
     line = {"plain": "{1}", "csv": f"{{0}},{{1}},{method}", "bfile": "{0} {1}"}[args.fmt]
     ns = range(start, end + 1, 2 if sequence == "Dclausen" else 1)
-    for n, value in zip(ns, route(ns)):
+    for n, value in zip(ns, seq_values(sequence, method, ns)):
         print(line.format(n, value))
     return 0
 
@@ -172,7 +169,7 @@ COMMANDS = {
         "--shifted": {"dest": "shifted", "action": "store_true", "default": False,
                       "help": "sum up to x^n instead of (x-1)^n"},
     }),
-    "verify": ("run cross-checking suites", _lazy("commands", "cmd_verify"), {
+    "verify": ("run cross-checking suites", _lazy("checks", "cmd_verify"), {
         "--suite": {"dest": "suite", "choices": (*SUITES, "all"), "default": "all"},
         "--max-n": {"dest": "max_n", "type": int, "default": 50},
         "--workers": {"dest": "workers", "type": int, "default": 1,
@@ -264,9 +261,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # A bad flag, or an input the library refuses.
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    except (MemoryError, OverflowError):
         # An index too large for the tables it needs (the sieve up to
-        # sqrt(n+1) for n near 10^20, say).
+        # sqrt(n+1) for n near 10^20, say), or for a table's size to fit an
+        # index-sized integer at all (n near 10^40).
         print("error: out of memory: the index is too large", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

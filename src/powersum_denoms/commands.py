@@ -1,7 +1,8 @@
-"""The handlers of ``poly``, ``witness``, ``verify`` and ``bench``.
+"""The handlers of ``poly``, ``witness`` and ``bench``.
 
 ``cli`` imports this module only when it dispatches one of these commands,
-so a ``seq`` run neither compiles nor loads it.  Each handler takes the
+so a ``seq`` or ``verify`` run neither compiles nor loads it; ``verify``'s
+handler lives in ``checks``, beside its suites.  Each handler takes the
 parsed arguments, checks its own flags first and raises ``UsageError`` for a
 bad one.  Library functions are looked up on their modules at each call, so
 a rebound attribute (a tracing wrapper, say) is the one used.
@@ -14,7 +15,7 @@ from collections.abc import Iterator, Sequence
 from types import SimpleNamespace
 
 from . import formulas, padic
-from .cli import METHODS, Q_ROUTES, SUITES, UsageError, _nonneg
+from .cli import METHODS, Q_ROUTES, UsageError, _nonneg
 
 
 def _poly_pieces(denominator: int, coeffs: Sequence[int]) -> Iterator[str]:
@@ -71,28 +72,6 @@ def cmd_witness(args: SimpleNamespace) -> int:
     print(f"digits of b in base {p} (low to high): {list(w.beta_digits.digits)}")
     print(f"binomial({n + 1}, {w.b}) mod {p} = {residue}")
     return 0
-
-
-def cmd_verify(args: SimpleNamespace) -> int:
-    if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
-    _nonneg("--max-n", args.max_n)
-    from . import checks
-
-    failed = False
-    for name in SUITES if args.suite == "all" else (args.suite,):
-        results = list(getattr(checks, name)(args.max_n))
-        failures = [message for message in results if message is not None]
-        if failures:
-            failed = True
-            print(f"{name}: FAIL ({len(failures)} of {len(results)} checks)")
-            for message in failures[:5]:
-                print(f"  {message}")
-            if len(failures) > 5:
-                print(f"  ... and {len(failures) - 5} more")
-        else:
-            print(f"{name}: PASS ({len(results)} checks)")
-    return 1 if failed else 0
 
 
 def cmd_bench(args: SimpleNamespace) -> int:

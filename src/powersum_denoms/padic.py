@@ -9,10 +9,10 @@ survives reduction mod p.
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage, and so do
 the bases of 3.3 * 10^24 and more that ``is_prime`` refuses.  The unchecked
-helpers are ``_digits``, ``_digit_sum``, ``_lucas_nonzero`` and
-``_marble_witness``.  They are for loops whose bases are already known to be
-prime (sieve output, tested candidates, the primes of a computed q_n), so
-that the check is paid once at the public boundary, not once per call.
+helpers are ``_digits``, ``_digit_sum`` and ``_lucas_nonzero``.  They are
+for loops whose bases are already known to be prime (sieve output, tested
+candidates, a base checked once on entry), so that the check is paid once
+at the public boundary, not once per call.
 ``_lucas_nonzero`` serves the callers that only compare a residue with 0:
 it tests digit dominance and forms no binomial.
 
@@ -217,11 +217,6 @@ def marble_witness(m: int, p: int) -> MarbleWitness:
     _require_prime(p)
     if m < 0:
         raise ValueError(f"digit expansion needs a nonnegative integer, got {m}")
-    return _marble_witness(m, p)
-
-
-def _marble_witness(m: int, p: int) -> MarbleWitness:
-    # marble_witness without the base check: p prime is the caller's to ensure.
     # m <= p leaves no digits to read, and fails the digit-sum test.
     alpha = _digits(m, p) if m > p else ()
     if p == 2 or sum(alpha) < p:

@@ -6,7 +6,7 @@ q_n = d_n / (n+1) is the squarefree quotient that the formulas in
 :mod:`powersum_denoms.formulas` reproduce; its ``_prime_factors`` checks
 that it is squarefree.  Only the shifted form is built, as the integer
 numerators of the cached B_{n+1}(x) over one scale, with no ``Fraction``
-arithmetic; ``d_n`` reads the unshifted denominator off a second gcd.
+arithmetic; ``d_n`` reads the denominator of both forms off one gcd.
 ``power_sum_oracle`` interpolates the literal sums in ``Fraction``s, the
 independent check.  It and ``shifted_power_sum_poly`` load ``exact_poly``
 only when called, and they and ``bound_M`` alone load ``fractions``.
@@ -72,20 +72,17 @@ def d_n(n: int) -> int:
     coefficients as a polynomial in x.
 
     For n >= 1 the shifted and unshifted power sums have the same
-    denominator; that equality is asserted rather than assumed.
+    denominator: over one scale their numerators differ only at x^n, by
+    the scale itself.
     """
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
     if n == 0:
         return 1
-    # Each denominator is scale over its gcd with the numerators, and the
-    # unshifted numerators lack the scale added at x^n.
+    # scale over its gcd with the numerators; the unshifted gcd is the same,
+    # as gcd(scale, a) = gcd(scale, a - scale).
     shifted, scale = _scaled_shifted_sum(n)
-    g = gcd(scale, *shifted)
-    g_base = gcd(scale, *shifted[:n], shifted[n] - scale, shifted[n + 1])
-    if g_base != g:
-        raise ArithmeticError(f"shifted and unshifted denominators differ at n={n}")
-    return scale // g
+    return scale // gcd(scale, *shifted)
 
 
 def q_n_bruteforce(n: int) -> int:

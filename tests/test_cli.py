@@ -70,9 +70,9 @@ def _decade_windows():
 def test_seq_window_routes_match_single_indices(start, stop):
     ns = range(start, stop)
     qs = [formulas.q_n_formula(n).value for n in ns]
-    assert list(cli.SEQ_ROUTES["q"]["formula"](ns)) == qs
-    assert list(cli.SEQ_ROUTES["d"]["formula"](ns)) == [(n + 1) * q for n, q in zip(ns, qs)]
-    assert list(cli.SEQ_ROUTES["Dpoly"]["formula"](ns)) == [
+    assert list(cli.seq_values("q", "formula", ns)) == qs
+    assert list(cli.seq_values("d", "formula", ns)) == [(n + 1) * q for n, q in zip(ns, qs)]
+    assert list(cli.seq_values("Dpoly", "formula", ns)) == [
         formulas.bernoulli_poly_denominator_formula(n).value for n in ns
     ]
 
@@ -312,6 +312,9 @@ def _cap_address_space():
     [
         ("seq", "--from", "99999999999999999999", "--to", "100000000000000000000"),
         ("witness", "--n", "100000000000000000000", "--p", "3"),
+        # Near 10^40 the sieve's size does not fit an index-sized integer.
+        ("seq", "--from", str(10**40), "--to", str(10**40)),
+        ("witness", "--n", str(10**40), "--p", "3"),
     ],
 )
 def test_out_of_memory_is_one_error_line(argv):
@@ -489,6 +492,32 @@ def test_commands_load_only_the_layers_they_use():
     ]
 
 
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["verify", "--suite", "all", "--max-n", "60", "--workers", "2"], "checks"),
+        (["poly", "--n", "4", "--shifted"], "commands"),
+        (["witness", "--n", "20", "--p", "11"], "commands"),
+        (["bench", "--max-n", "5"], "commands"),
+    ],
+    ids=("verify", "poly", "witness", "bench"),
+)
+def test_each_command_loads_only_its_own_handler_module(argv, loaded):
+    # verify's handler sits beside its suites in checks, and the other
+    # handlers in commands: a run loads the one module its command needs,
+    # and a table-parsed argv loads no argparse.
+    script = (
+        "import sys\n"
+        "from powersum_denoms import cli\n"
+        f"cli.main({argv!r})\n"
+        "names = {'argparse', 'powersum_denoms.checks', 'powersum_denoms.commands'}\n"
+        "print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = _python("-c", script, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.decode().splitlines() == [f"['powersum_denoms.{loaded}']"]
+
+
 def test_cli_loads_process_pool_only_when_a_pool_starts():
     # No command starts a pool: importing the CLI, a verify with --workers 2
     # and a bench leave the process machinery (about 20 ms of imports)
@@ -589,7 +618,7 @@ def test_verify_witnesses_reports_both_kinds_of_failure(capsys, monkeypatch):
     def not_sharp(p):
         raise ArithmeticError("not sharp")
 
-    monkeypatch.setattr(padic, "_marble_witness", no_witness)
+    monkeypatch.setattr(padic, "marble_witness", no_witness)
     monkeypatch.setattr(formulas, "sharpness_witnesses", not_sharp)
     code, out, _ = run(capsys, "verify", "--suite", "witnesses", "--max-n", "8")
     assert code == 1
