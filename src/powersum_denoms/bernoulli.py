@@ -7,26 +7,36 @@ integrality check k^n * (B_n(h/k) - B_n) rounds out the module.  The product
 formula for that denominator (the primes p with base-p digit sum of n at
 least p - 1) and the von Staudt-Clausen denominator live in ``formulas``,
 which imports nothing from here; both can still be imported from this
-module.
+module, which loads ``formulas`` only when one of them is first read.
 
 Everything here is integer arithmetic.  The tangent numbers T_k = A_(2k-1)
 come from one column of the tangent-number triangle at a time (Brent and
 Harvey, "Fast computation of Bernoulli, tangent and secant numbers", 2011),
-and each gives B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)), kept as a
-(numerator, denominator) pair reduced by their gcd.  Each B_n(x) is built
-from those pairs as integer numerators over their least common denominator,
-and every program path reads that form.  ``Fraction`` is loaded only by
-``BernoulliTable.number``, the one view that returns one.  The table only
-ever grows; the B_n(x) cache holds the last polynomial built, the only one
-its readers reuse.
+held with entry i of column k divided by (k-i)!.  That keeps every entry an
+integer, makes each update one small multiply-add, and leaves the last entry
+T_k itself.  Each T_k gives B_2k = (-1)^(k-1) * 2k * T_k / (4^k * (4^k - 1)),
+kept as a (numerator, denominator) pair reduced by their gcd.  Each B_n(x)
+is built from those pairs as integer numerators over their least common
+denominator, and every program path reads that form.  ``Fraction`` is
+loaded only by ``BernoulliTable.number``, the one view that returns one.
+The table only ever grows; the B_n(x) cache holds the last polynomial
+built, the only one its readers reuse.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd, lcm
+from math import gcd, lcm
 
-from .formulas import bernoulli_poly_denominator_formula, clausen_denominator
+
+def __getattr__(name: str):
+    # The two denominators by formula, re-exported from ``formulas`` and
+    # loaded on first read (PEP 562), so that ``poly`` never compiles it.
+    if name in ("bernoulli_poly_denominator_formula", "clausen_denominator"):
+        from . import formulas
+
+        return getattr(formulas, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class BernoulliTable:
@@ -36,19 +46,22 @@ class BernoulliTable:
     is read off the tangent number T_k, the last entry of column k of the
     tangent-number triangle.  Column k has k entries: c_1 = (k-1) * c'_1 and
     c_i = (k-i) * c'_i + (k-i+2) * c_(i-1) for 2 <= i <= k, where c' is
-    column k - 1.  Only the last column is kept, updated in place: c_i
-    overwrites c'_i, which nothing reads after it.  So the table grows one
-    index at a time as cheaply as in one go, with one column alive.  Each
-    value is held as (numerator, denominator) in lowest terms, reduced by
-    their gcd alone so that von Staudt-Clausen stays a check on the table,
-    not an input to it.
+    column k - 1.  The table keeps d_i = c_i / (k-i)! instead: an integer,
+    by induction through the recurrence, and (k-i)! times smaller.  The
+    recurrence becomes d_1 = 1 and d_i = d'_i + (k-i+2)(k-i+1) * d_(i-1),
+    so d_k = 2 * d_(k-1) = c_k = T_k.  Only the last column is kept, updated
+    in place: d_i overwrites d'_i, which nothing reads after it.  So the
+    table grows one index at a time as cheaply as in one go, with one column
+    alive.  Each value is held as (numerator, denominator) in lowest terms,
+    reduced by their gcd alone so that von Staudt-Clausen stays a check on
+    the table, not an input to it.
     The internal list only ever grows, so values already handed out never
     change.
     """
 
     def __init__(self, upto: int = 0) -> None:
         self._values: list[tuple[int, int]] = [(1, 1)]
-        self._column: list[int] = [1]  # column 1 of the tangent-number triangle
+        self._column: list[int] = [1]  # column 1 of the scaled tangent triangle
         self.extend_to(upto)
 
     @property
@@ -63,13 +76,14 @@ class BernoulliTable:
                 continue
             k = m // 2
             if k > 1:
-                # In place: slot i holds c'_(i+1) until c_(i+1) overwrites
-                # it, and that needs only c'_(i+1) and the new c_i in slot i-1.
+                # In place: slot i holds d'_(i+1) until d_(i+1) overwrites
+                # it, and that needs only d'_(i+1) and the new d_i, held in
+                # ``d``.  Slot 0 stays d_1 = 1.
                 column = self._column
-                column[0] *= k - 1
+                d = 1
                 for i in range(1, k - 1):
-                    column[i] = (k - i - 1) * column[i] + (k - i + 1) * column[i - 1]
-                column.append(2 * column[-1])  # c_k, where c'_k does not exist
+                    d = column[i] = column[i] + (k - i + 1) * (k - i) * d
+                column.append(2 * d)  # d_k, where d'_k does not exist
             four_k = 4**k
             num, den = (-1) ** (k - 1) * m * self._column[-1], four_k * (four_k - 1)
             g = gcd(num, den)
@@ -102,15 +116,18 @@ def _shared_poly(n: int) -> tuple[tuple[int, ...], int]:
     # lowest terms and g = gcd(binomial(n, k), b), the term is
     # (binomial(n, k) / g) * a over e = b / g, again in lowest terms, so D is
     # the lcm of the e.  B_n .. B_0 are read after one growth of the table:
-    # ``number`` would call ``extend_to`` again for each of them.
+    # ``number`` would call ``extend_to`` again for each of them.  c walks
+    # row n of Pascal's triangle, binomial(n, k) at step k from the one
+    # before, at less cost than one ``comb`` per k.
     values = bernoulli_numbers(n)._values
     terms = []
+    c = 1
     for k in range(n + 1):
         a, b = values[k]
         if a:
-            c = comb(n, k)
             g = gcd(c, b)
             terms.append((n - k, c // g * a, b // g))
+        c = c * (n - k) // (k + 1)
     d = lcm(*(e for _, _, e in terms))
     numerators = [0] * (n + 1)
     for i, a, e in terms:

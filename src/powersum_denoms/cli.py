@@ -7,37 +7,32 @@ renders one power-sum polynomial over its least common denominator;
 factor of q_n; ``bench`` times the q_n methods against each other.
 
 ``COMMANDS`` declares each command once: its help line, its handler and
-its options.  ``main`` parses the argv that callers send (the command, then
-exact long flags each with a valid value, every required flag present)
-straight from that table; anything else, such as ``-h``, ``--to=5``, an
-abbreviated or unknown flag, or a bad or missing value, goes to the
-argparse parser that ``build_parser`` builds from the same table, the one
-source of usage, help and error text.  Each handler takes the parsed
-arguments, checks its own flags first and raises ``UsageError`` for a bad
+its options.  ``main`` parses the argv that callers send straight from that
+table; anything else (``-h``, ``--to=5``, an abbreviated or unknown flag, a
+bad or missing value) goes to the argparse parser that ``build_parser``
+builds from the same table, the one source of usage, help and error text.
+Each handler checks its own flags first and raises ``UsageError`` for a bad
 one.  ``cmd_seq`` lives here, ``verify``'s handler beside its suites in
-``checks``, and the other three in ``commands``; each module is imported
-only when one of its commands is dispatched.  The commands are tables over
-the library: ``Q_ROUTES`` holds the four q_n routes that ``seq``, ``bench``
-and the agreement suite share; ``SEQ_METHODS`` lists each sequence's
-methods, and ``seq_values`` streams a sequence over a range of indices by
-one of them; ``SUITES`` is the tuple of verify suite names, in order, each
-the name of a generator in ``checks`` of one item per check: ``None`` when
-it passes, its failure message when it fails.
+``checks``, and the other three in ``commands``, each module imported only
+when one of its commands is dispatched.  ``Q_ROUTES`` holds the four q_n
+routes that ``seq``, ``bench`` and the agreement suite share;
+``SEQ_METHODS`` lists each sequence's methods, and ``seq_values`` streams a
+sequence over a range of indices by one of them; ``SUITES`` names the verify
+suites in order, each a generator in ``checks`` of one item per check:
+``None`` when it passes, its failure message when it fails.
 Every command runs in the calling process, and none starts a process pool.
 ``verify --workers`` is still parsed and still rejects values below 1, and
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
 passes it, and the next change to the harness removes it.
 
-A run imports only what its command uses.  The module itself loads
-``formulas`` and ``padic``, enough for the three digit-based q_n routes,
-``seq --seq q``/``d``, ``Dclausen`` and ``Dpoly`` by formula; a ``seq`` run
-loads neither ``argparse`` nor ``commands``, which ``poly``, ``witness`` and
-``bench`` load and which is all ``witness`` adds.  ``bernoulli`` and
-``powersum`` are imported inside the paths that need them: the brute
-routes, ``poly`` and the verify suites.  Only ``verify`` loads ``checks``,
-and not ``commands``; each suite there imports the layers its checks use.
-No command loads ``fractions`` or ``exact_poly``, the tests' polynomial
-oracle.
+A run imports only what its command uses.  ``seq_values`` and ``Q_ROUTES``
+import the digit-sum layers ``formulas`` and ``padic`` on first use; ``seq``
+loads only those, and neither ``argparse`` nor ``commands``.  ``poly`` loads
+``commands``, ``powersum`` and ``bernoulli``, and no digit-sum layer;
+``witness`` and ``bench`` load ``commands`` and the digit-sum layers, and
+the brute routes and the verify suites ``bernoulli`` and ``powersum``.  Only
+``verify`` loads ``checks``; each suite imports the layers its checks use.
+No command loads ``fractions`` or ``exact_poly``, the tests' oracle.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on an input the library refuses, and on an index too large for the memory
@@ -58,22 +53,23 @@ from importlib import import_module
 from operator import mul
 from types import SimpleNamespace
 
-from . import formulas, padic
+
+def _module(name: str):
+    # A layer that only some commands load, imported on first use.
+    return import_module(f"{__package__}.{name}")
 
 
 def _lazy(module: str, name: str) -> Callable[[object], object]:
-    # A route or handler in a module that only some commands load: imported
-    # on the first call, and the function looked up at each call, like the
-    # others.
-    return lambda x: getattr(import_module(f"{__package__}.{module}"), name)(x)
+    # A function of such a layer, looked up at each call.
+    return lambda x: getattr(_module(module), name)(x)
 
 
 # The four routes to q_n.  Each looks its function up when it is called, so a
 # module attribute rebound after import (a tracing wrapper, say) is used.
 Q_ROUTES = {
-    "formula": lambda n: formulas.q_n_formula(n).value,
-    "epsilon": lambda n: formulas.q_n_epsilon(n).value(),
-    "psets": lambda n: formulas.q_n_via_psets(n).value,
+    "formula": lambda n: _module("formulas").q_n_formula(n).value,
+    "epsilon": lambda n: _module("formulas").q_n_epsilon(n).value(),
+    "psets": lambda n: _module("formulas").q_n_via_psets(n).value,
     "brute": _lazy("powersum", "q_n_bruteforce"),
 }
 METHODS = tuple(Q_ROUTES)
@@ -88,6 +84,7 @@ def seq_values(sequence: str, method: str, ns: range) -> Iterator[int]:
     # The values of a sequence at the indices ns by one of its methods.  q_n
     # and D(B_n(x)) by formula search each window of indices once; d_n is
     # (n+1) * q_n by each q_n route.
+    formulas = _module("formulas")
     if sequence == "Dclausen":
         return (formulas.clausen_denominator(n).value for n in ns)
     if sequence == "Dpoly" and method == "formula":

@@ -14,7 +14,6 @@ import sys
 from collections.abc import Iterator, Sequence
 from types import SimpleNamespace
 
-from . import formulas, padic
 from .cli import METHODS, Q_ROUTES, UsageError, _nonneg
 
 
@@ -56,6 +55,8 @@ def cmd_poly(args: SimpleNamespace) -> int:
 def cmd_witness(args: SimpleNamespace) -> int:
     n, p = args.n, args.p
     _nonneg("--n", n)
+    from . import formulas, padic
+
     # A prime above the sharp bound never divides q_n.
     if p > formulas._prime_limit(n):
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")

@@ -18,7 +18,6 @@ from math import gcd
 
 from ._record import Record
 from .bernoulli import _shared_poly
-from .formulas import _prime_factors
 
 
 def _scaled_shifted_sum(n: int) -> tuple[tuple[int, ...], int]:
@@ -96,6 +95,8 @@ def q_n_bruteforce(n: int) -> int:
     if d % (n + 1) != 0:
         raise ArithmeticError(f"d_{n} = {d} is not divisible by {n + 1}")
     q = d // (n + 1)
+    from .formulas import _prime_factors
+
     factors = _prime_factors(q)
     if len(set(factors)) != len(factors):
         raise ArithmeticError(f"q_{n} = {q} is not squarefree")

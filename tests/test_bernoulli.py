@@ -286,11 +286,16 @@ def test_almkvist_meurman_row_fails_a_perturbed_coefficient(monkeypatch):
 def test_shared_poly_is_scaled_coefficients():
     # The cached B_n(x) is (numerators, D) with numerators[i] / D the exact
     # coefficient binomial(n, i) * B_(n-i) of x^i and D their least common
-    # denominator, so no factor is left to cancel.
+    # denominator, so no factor is left to cancel.  Past n = 300 the binomial
+    # row is walked far from both ends: there B_k is read from a fresh table,
+    # which test_table_matches_seidel_oracle checks to 1500, and the binomial
+    # from math.comb.
     oracle = recurrence_oracle(300)
-    for n in range(301):
+    table = BernoulliTable(1499)
+    for n in [*range(301), 645, 1000, 1499]:
+        numbers = oracle if n <= 300 else [table.number(k) for k in range(n + 1)]
         numerators, d = bernoulli._shared_poly(n)
-        exact = [comb(n, i) * oracle[n - i] for i in range(n + 1)]
+        exact = [comb(n, i) * numbers[n - i] for i in range(n + 1)]
         assert d == lcm(*(c.denominator for c in exact)), f"n={n}"
         assert [F(c, d) for c in numerators] == exact, f"n={n}"
         assert gcd(d, *numerators) == 1, f"n={n}"

@@ -433,17 +433,20 @@ def test_commands_load_only_the_layers_they_use():
     # job (the q and Dpoly b-file windows, poly --n N --shifted, verify
     # --suite all --max-n 60 --workers 2 and seq --method brute) is parsed
     # without argparse, which only help and usage errors load.  seq loads
-    # neither the other commands' handlers nor the Bernoulli or power-sum
-    # layers; witness adds the handlers, and poly and the brute routes the
-    # two layers.  Only verify loads the suites in checks.  No command loads
-    # fractions or the polynomial oracle in exact_poly: only the Fraction
-    # views such as shifted_power_sum_poly do.  No run loads dataclasses.
+    # the digit-sum layers formulas and padic, but neither the other
+    # commands' handlers nor the Bernoulli or power-sum layers; witness adds
+    # the handlers, and poly and the brute routes the two layers (poly alone
+    # loads no digit-sum layer: test_each_command_loads_only_its_own_handler_module).
+    # Only verify loads the suites in checks.  No command loads fractions or
+    # the polynomial oracle in exact_poly: only the Fraction views such as
+    # shifted_power_sum_poly do.  No run loads dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
         "heavy = {'argparse', 'fractions', 'powersum_denoms.bernoulli',\n"
         "         'powersum_denoms.checks', 'powersum_denoms.commands',\n"
-        "         'powersum_denoms.exact_poly', 'powersum_denoms.powersum', 'dataclasses'}\n"
+        "         'powersum_denoms.exact_poly', 'powersum_denoms.formulas',\n"
+        "         'powersum_denoms.padic', 'powersum_denoms.powersum', 'dataclasses'}\n"
         "def report(names):\n"
         "    print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
         "report({m for m in sys.modules if m.startswith('powersum_denoms.')} | heavy)\n"
@@ -479,43 +482,54 @@ def test_commands_load_only_the_layers_they_use():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr.decode().splitlines() == [
         "[]",
-        "[]",
-        "['powersum_denoms.commands']",
-        "['powersum_denoms.bernoulli', 'powersum_denoms.commands', 'powersum_denoms.powersum']",
+        "['powersum_denoms.formulas', 'powersum_denoms.padic']",
+        "['powersum_denoms.commands', 'powersum_denoms.formulas', 'powersum_denoms.padic']",
+        "['powersum_denoms.bernoulli', 'powersum_denoms.commands', 'powersum_denoms.formulas', "
+        "'powersum_denoms.padic', 'powersum_denoms.powersum']",
         "['powersum_denoms.bernoulli', 'powersum_denoms.checks', 'powersum_denoms.commands', "
-        "'powersum_denoms.powersum']",
+        "'powersum_denoms.formulas', 'powersum_denoms.padic', 'powersum_denoms.powersum']",
         "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
-        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
+        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.formulas', "
+        "'powersum_denoms.padic', 'powersum_denoms.powersum']",
         "2 usage: powersum-denoms seq",
         "['argparse', 'fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
-        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.powersum']",
+        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.formulas', "
+        "'powersum_denoms.padic', 'powersum_denoms.powersum']",
     ]
+
+
+_DIGIT_LAYERS = ("formulas", "padic")
 
 
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (["verify", "--suite", "all", "--max-n", "60", "--workers", "2"], "checks"),
-        (["poly", "--n", "4", "--shifted"], "commands"),
-        (["witness", "--n", "20", "--p", "11"], "commands"),
-        (["bench", "--max-n", "5"], "commands"),
+        (
+            ["verify", "--suite", "all", "--max-n", "60", "--workers", "2"],
+            ("checks", *_DIGIT_LAYERS),
+        ),
+        (["poly", "--n", "644", "--shifted"], ("commands",)),
+        (["witness", "--n", "20", "--p", "11"], ("commands", *_DIGIT_LAYERS)),
+        (["bench", "--max-n", "5"], ("commands", *_DIGIT_LAYERS)),
     ],
     ids=("verify", "poly", "witness", "bench"),
 )
 def test_each_command_loads_only_its_own_handler_module(argv, loaded):
     # verify's handler sits beside its suites in checks, and the other
     # handlers in commands: a run loads the one module its command needs,
-    # and a table-parsed argv loads no argparse.
+    # and a table-parsed argv loads no argparse.  poly loads neither digit-sum
+    # layer, formulas nor padic, which the other three use.
     script = (
         "import sys\n"
         "from powersum_denoms import cli\n"
         f"cli.main({argv!r})\n"
-        "names = {'argparse', 'powersum_denoms.checks', 'powersum_denoms.commands'}\n"
+        "names = {'argparse', 'powersum_denoms.checks', 'powersum_denoms.commands',\n"
+        "         'powersum_denoms.formulas', 'powersum_denoms.padic'}\n"
         "print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
     )
     proc = _python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.decode().splitlines() == [f"['powersum_denoms.{loaded}']"]
+    assert proc.stderr.decode().splitlines() == [str([f"powersum_denoms.{m}" for m in loaded])]
 
 
 def test_cli_loads_process_pool_only_when_a_pool_starts():
