@@ -25,14 +25,13 @@ Every command runs in the calling process, and none starts a process pool.
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
 passes it, and the next change to the harness removes it.
 
-A run imports only what its command uses.  ``seq_values`` and ``Q_ROUTES``
-import the digit-sum layers ``formulas`` and ``padic`` on first use; ``seq``
-loads only those, and neither ``argparse`` nor ``commands``.  ``poly`` loads
-``commands``, ``powersum`` and ``bernoulli``, and no digit-sum layer;
-``witness`` and ``bench`` load ``commands`` and the digit-sum layers, and
-the brute routes and the verify suites ``bernoulli`` and ``powersum``.  Only
-``verify`` loads ``checks``; each suite imports the layers its checks use.
-No command loads ``fractions`` or ``exact_poly``, the tests' oracle.
+A run imports only what its command uses: ``seq`` the digit-sum layers
+``formulas`` and ``padic``, on first use in ``seq_values`` or ``Q_ROUTES``;
+``poly`` ``commands``, ``powersum`` and ``bernoulli``; ``witness`` and
+``bench`` ``commands`` and the digit-sum layers; ``verify`` ``checks`` and
+what its suites use.  The brute routes add ``bernoulli`` and ``powersum``.
+Only help and usage errors load ``argparse``, and no command loads
+``fractions`` or ``exact_poly``, the tests' oracle.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on an input the library refuses, and on an index too large for the memory
@@ -55,8 +54,11 @@ from types import SimpleNamespace
 
 
 def _module(name: str):
-    # A layer that only some commands load, imported on first use.
-    return import_module(f"{__package__}.{name}")
+    # A layer that only some commands load, imported on first use.  A hit in
+    # sys.modules costs a tenth of import_module, which the q_n routes that
+    # bench times would otherwise pay on every call.
+    module = f"{__package__}.{name}"
+    return sys.modules.get(module) or import_module(module)
 
 
 def _lazy(module: str, name: str) -> Callable[[object], object]:

@@ -435,9 +435,9 @@ def test_commands_load_only_the_layers_they_use():
     # without argparse, which only help and usage errors load.  seq loads
     # the digit-sum layers formulas and padic, but neither the other
     # commands' handlers nor the Bernoulli or power-sum layers; witness adds
-    # the handlers, and poly and the brute routes the two layers (poly alone
-    # loads no digit-sum layer: test_each_command_loads_only_its_own_handler_module).
-    # Only verify loads the suites in checks.  No command loads fractions or
+    # the handlers, and poly and the brute routes the two layers (a poly run
+    # alone loads neither digit-sum layer, as the next test checks).  Only
+    # verify loads the suites in checks.  No command loads fractions or
     # the polynomial oracle in exact_poly: only the Fraction views such as
     # shifted_power_sum_poly do.  No run loads dataclasses.
     script = (
@@ -498,19 +498,16 @@ def test_commands_load_only_the_layers_they_use():
     ]
 
 
-_DIGIT_LAYERS = ("formulas", "padic")
-
-
 @pytest.mark.parametrize(
     "argv, loaded",
     [
         (
             ["verify", "--suite", "all", "--max-n", "60", "--workers", "2"],
-            ("checks", *_DIGIT_LAYERS),
+            ("checks", "formulas", "padic"),
         ),
         (["poly", "--n", "644", "--shifted"], ("commands",)),
-        (["witness", "--n", "20", "--p", "11"], ("commands", *_DIGIT_LAYERS)),
-        (["bench", "--max-n", "5"], ("commands", *_DIGIT_LAYERS)),
+        (["witness", "--n", "20", "--p", "11"], ("commands", "formulas", "padic")),
+        (["bench", "--max-n", "5"], ("commands", "formulas", "padic")),
     ],
     ids=("verify", "poly", "witness", "bench"),
 )
