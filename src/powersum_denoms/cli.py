@@ -25,13 +25,18 @@ Every command runs in the calling process, and none starts a process pool.
 has no other effect: the benchmark harness (``perfbench/workloads.py``)
 passes it, and the next change to the harness removes it.
 
-A run imports only what its command uses: ``seq`` the digit-sum layers
-``formulas`` and ``padic``, on first use in ``seq_values`` or ``Q_ROUTES``;
-``poly`` ``commands``, ``powersum`` and ``bernoulli``; ``witness`` and
-``bench`` ``commands`` and the digit-sum layers; ``verify`` ``checks`` and
-what its suites use.  The brute routes add ``bernoulli`` and ``powersum``.
-Only help and usage errors load ``argparse``, and no command loads
-``fractions`` or ``exact_poly``, the tests' oracle.
+A run imports only what its command uses, on first use in ``seq_values``
+or ``Q_ROUTES``.  ``seq`` by formula for ``q``, ``d`` and ``Dpoly`` loads
+the prime layer ``_primes`` alone, and ``padic`` for its primality test
+only when a candidate lies past the search's lookup bound, as in a short
+window near 10^6 but in no 250-index window near 10^4.  The other
+digit-based routes and ``Dclausen`` load the digit-sum layers ``formulas``
+and ``padic``, and the brute routes ``bernoulli``, for ``q`` and ``d`` with
+``powersum`` and ``_primes``.  ``poly`` loads ``commands``, ``powersum``
+and ``bernoulli``; ``witness`` and ``bench`` ``commands`` and the digit-sum
+layers; ``verify`` ``checks`` and what its suites use.  Only help and usage
+errors load ``argparse``, and no command loads ``fractions`` or
+``exact_poly``, the tests' oracle.
 
 Exit codes: 0 on success, 1 when a verification fails, 2 on usage errors,
 on an input the library refuses, and on an index too large for the memory
@@ -83,19 +88,22 @@ SEQUENCES = tuple(SEQ_METHODS)
 
 
 def seq_values(sequence: str, method: str, ns: range) -> Iterator[int]:
-    # The values of a sequence at the indices ns by one of its methods.  q_n
-    # and D(B_n(x)) by formula search each window of indices once; d_n is
-    # (n+1) * q_n by each q_n route.
-    formulas = _module("formulas")
+    # The values of a sequence at the indices ns by one of its methods; d_n
+    # is (n+1) * q_n by each q_n route.  q_n and D(B_n(x)) by formula are the
+    # products of the primes that the windowed search yields per index, the
+    # primes of s_p(n+1) >= p and of s_p(n) >= p - 1, read straight from the
+    # prime layer: cmd_seq has checked the range, so no record is built.
     if sequence == "Dclausen":
+        formulas = _module("formulas")
         return (formulas.clausen_denominator(n).value for n in ns)
-    if sequence == "Dpoly" and method == "formula":
-        Ds = formulas.bernoulli_poly_denominator_formula_range(ns.start, ns.stop)
-        return (D.value for D in Ds)
-    if sequence == "Dpoly":
-        return map(_lazy("bernoulli", "bernoulli_poly_denominator_direct"), ns)
     if method == "formula":
-        qs = (q.value for q in formulas.q_n_formula_range(ns.start, ns.stop))
+        from ._primes import _digit_sum_primes, _product
+
+        if sequence == "Dpoly":
+            return map(_product, _digit_sum_primes(ns.start, ns.stop, 1))
+        qs = map(_product, _digit_sum_primes(ns.start + 1, ns.stop + 1, 0))
+    elif sequence == "Dpoly":
+        return map(_lazy("bernoulli", "bernoulli_poly_denominator_direct"), ns)
     else:
         qs = map(Q_ROUTES[method], ns)
     return qs if sequence == "q" else map(mul, range(ns.start + 1, ns.stop + 1), qs)

@@ -60,9 +60,12 @@ def cmd_witness(args: SimpleNamespace) -> int:
     # A prime above the sharp bound never divides q_n.
     if p > formulas._prime_limit(n):
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
-    q = formulas.q_n_formula(n)
-    if p == 2 or not padic.is_prime(p):
+    # p is tested before the search, which takes seconds at n = 10^12, but
+    # for a p that is_prime refuses: within the bound it puts n past 10^24,
+    # where the search's sieve does not fit in memory and so reports first.
+    if p < padic._MILLER_RABIN_BOUND and (p == 2 or not padic.is_prime(p)):
         raise UsageError(f"--p must be an odd prime, got {p}")
+    q = formulas.q_n_formula(n)
     if p not in q.primes:
         raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
     w = padic.marble_witness(n + 1, p)

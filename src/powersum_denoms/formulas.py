@@ -22,7 +22,8 @@ search, grown as its windows need, lists the small primes and decides the
 candidates up to a fixed bound by lookup, each small prime's digit sum is
 carried from one index to the next, and each quotient's candidate is
 decided once for the run of indices that share it.  A single index is a
-window of one.
+window of one.  The search, ``_digit_sum_primes``, lives in the private
+prime layer ``_primes`` with the sieve, the product tree and the factoriser.
 
 The denominator D(B_n(x)) of the Bernoulli polynomial is the product of
 the primes p whose base-p digit sum s_p(n) is at least p - 1, for every
@@ -35,29 +36,30 @@ positive multiple of p - 1.
 
 Supporting checks (a binomial-sum congruence, the sharpness of the prime
 bound, and per-k bounds on the prime sets) live here too.  So do the
-squarefree result type ``SquarefreeProduct``, the package's one factoriser
-``_prime_factors`` (trial division) and ``clausen_denominator``, which
-tests d + 1 for each divisor d of n read off that factorisation: trial
-division up to the larger of n's second largest prime factor and the square
-root of its largest.  ``seq --seq Dclausen`` and ``pset`` use it; the
-D(B_n(x)) formula does not.  This module needs only ``padic``, so the q_n
-and B_n(x) formulas, which ``bernoulli`` imports, load no Bernoulli or
-polynomial code.
+squarefree result type ``SquarefreeProduct`` and ``clausen_denominator``,
+which tests d + 1 for each divisor d of n read off the package's one
+factoriser, ``_primes._prime_factors``: trial division up to the larger of
+n's second largest prime factor and the square root of its largest.
+``seq --seq Dclausen`` and ``pset`` use it; the D(B_n(x)) formula does not.
+This module needs only ``_primes`` and ``padic``, so the q_n and B_n(x)
+formulas, which ``bernoulli`` imports, load no Bernoulli or polynomial
+code.
 
 Bases are validated by the public functions of ``padic``; the loops here
 work on sieve primes and tested candidates, so they use the unchecked
-``padic._digit_sum`` and ``padic._lucas_nonzero`` and build results with
-the unchecked ``SquarefreeProduct._of_sorted_primes``.
+``padic._lucas_nonzero`` and build results with the unchecked
+``SquarefreeProduct._of_sorted_primes``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from functools import cache
-from math import comb, isqrt, prod
+from math import comb
 
+from ._primes import _digit_sum_primes, _prime_factors, _product, _sieve
 from ._record import Record
-from .padic import _digit_sum, _lucas_nonzero, _require_prime, is_prime
+from .padic import _lucas_nonzero, _require_prime, is_prime
 
 
 class SquarefreeProduct(Record):
@@ -73,29 +75,6 @@ class SquarefreeProduct(Record):
         return cls(tuple(primes), _product(primes))
 
 
-def _product(xs: list[int]) -> int:
-    # A balanced product tree (Bernstein 2008).  math.prod multiplies left to
-    # right, each step the whole partial product by one small factor, which is
-    # quadratic in the digits; halves of equal size keep the large
-    # multiplications balanced, where CPython's Karatsuba pays.  Short lists,
-    # such as q_n's near n = 10^4 (about 40 primes), stay with math.prod.
-    if len(xs) <= 64:
-        return prod(xs)
-    half = len(xs) // 2
-    return _product(xs[:half]) * _product(xs[half:])
-
-
-def _sieve(x: int) -> bytearray:
-    # composite[i] is 0 exactly for 0, 1 and the primes i <= x.  Zero-filled,
-    # so that an allocation too large fails cleanly: in CPython 3.11 a failed
-    # ``bytearray([1]) * size`` also prints a stray SystemError.
-    composite = bytearray(x + 1)
-    for p in range(2, isqrt(x) + 1):
-        if not composite[p]:
-            composite[p * p :: p] = b"\x01" * len(range(p * p, x + 1, p))
-    return composite
-
-
 def primes_upto(x: int) -> list[int]:
     """All primes <= x in increasing order, by a plain Eratosthenes sieve."""
     if x < 2:
@@ -104,80 +83,9 @@ def primes_upto(x: int) -> list[int]:
     return [p for p in range(2, x + 1) if not composite[p]]
 
 
-def _prime_factors(x: int) -> list[int]:
-    # The prime factors of x >= 1 in increasing order, with multiplicity.
-    factors, f = [], 2
-    while f * f <= x:
-        while x % f == 0:
-            factors.append(f)
-            x //= f
-        f += 1 if f == 2 else 2
-    if x > 1:
-        factors.append(x)
-    return factors
-
-
 def _prime_limit(n: int) -> int:
     # Largest integer allowed by the sharp bound (n+2)/2 or (n+2)/3.
     return (n + 2) // (2 if n % 2 == 0 else 3)
-
-
-def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
-    """For each m in range(start, stop), start >= 1, the primes p whose base-p
-    digit sum of m is at least p - t, in increasing order, for t = 0 or 1.
-    A digit sum of m is at most m, so p <= m + t; for t = 0 the sum also needs
-    m >= 2p - 1, and, for odd p and even m, an even sum, so m >= 3p - 1."""
-    # One sieve serves the call's windows: it lists the primes up to each
-    # window's r and decides its candidates up to its last, hi (a = 0's) for
-    # t = 1 and otherwise (hi + 1) // 2, by lookup as far as cap.  A window
-    # that needs more makes it again, to r and twice that candidate, never
-    # past the call's own need: a short range sieves once, a single index to
-    # 64 times its r, and a range with a large stop holds no more than
-    # max(r, 2^20) bytes at any index it has reached.  r grows by one only
-    # every 2r indices, so sieving to r again costs little per index.
-    if start >= stop:
-        return
-    top = isqrt(stop - 1)
-    cap = min(max(64, stop - start) * top, 1 << 20)
-    bound = max(top, min(stop if t else (stop + 1) // 2, cap))
-    composite = bytearray()
-    lo = start
-    while lo < stop:
-        # A window holds its indices' primes until it yields them, about
-        # isqrt(m) / 10 each near m = 10^12, so it narrows as m grows.
-        hi = min(stop, lo + max(1, min(64, (1 << 22) // isqrt(lo))))
-        r = isqrt(hi - 1)
-        last = min(hi if t else (hi + 1) // 2, cap)
-        if max(r, last) >= len(composite):
-            composite = _sieve(min(bound, max(r, min(2 * last, cap))))
-        size = len(composite) - 1
-        hits: list[list[int]] = [[] for _ in range(lo, hi)]
-        # Up to r, p's digit sum rises by one from m to m + 1, and is formed
-        # again only at each multiple of p.
-        for p in range(2, r + 1):
-            if composite[p]:
-                continue
-            m = lo
-            while m < hi:
-                end = min(hi, m - m % p + p)
-                for k in range(max(m, m + p - t - _digit_sum(m, p)), end):
-                    hits[k - lo].append(p)
-                m = end
-        # Above r, m = a*p + b with a = m // p < p, and a + b >= p - t exactly
-        # when m < (a+1)*p <= m + a + t, that is p = m // (a+1) + 1, with a + 1
-        # not dividing m if t = 0.  So each a has one candidate per block of
-        # a + 1 consecutive m, for all of the block but, if t = 0, its
-        # multiple of a + 1; a = 0, whose candidate is m + 1, counts only for
-        # t = 1.  Walking a down keeps each list increasing.
-        for a in range((hi - 1) // (r + 1), -t, -1):
-            d = a + 1
-            for c in range(lo // d, (hi - 2 + t) // d + 1):
-                p = c + 1
-                if p > r and (not composite[p] if p <= size else is_prime(p)):
-                    for k in range(max(lo, c * d + 1 - t), min(hi, c * d + d)):
-                        hits[k - lo].append(p)
-        yield from hits
-        lo = hi
 
 
 def q_n_formula(n: int) -> SquarefreeProduct:

@@ -9,8 +9,9 @@ survives reduction mod p.
 Every public function validates its base: composite or non-positive bases
 raise ValueError up front rather than producing digit garbage, and so do
 the bases of 3.3 * 10^24 and more that ``is_prime`` refuses.  The unchecked
-helpers are ``_digits``, ``_digit_sum`` and ``_lucas_nonzero``.  They are
-for loops whose bases are already known to be prime (sieve output, tested
+helpers are ``_digits`` and ``_lucas_nonzero`` here, and ``_digit_sum`` in
+``_primes``, the prime layer, whose search it serves.  They are for loops
+whose bases are already known to be prime (sieve output, tested
 candidates, a base checked once on entry), so that the check is paid once
 at the public boundary, not once per call.
 ``_lucas_nonzero`` serves the callers that only compare a residue with 0:
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from math import comb, prod
 
+from ._primes import _digit_sum
 from ._record import Record
 
 
@@ -122,15 +124,6 @@ def digit_sum(x: int, p: int) -> int:
     if x < 0:
         raise ValueError(f"digit sum needs a nonnegative integer, got {x}")
     return _digit_sum(x, p)
-
-
-def _digit_sum(x: int, p: int) -> int:
-    # digit_sum without the checks: x >= 0 and p prime are the caller's to ensure.
-    s = 0
-    while x:
-        x, r = divmod(x, p)
-        s += r
-    return s
 
 
 def legendre_valuation_factorial(x: int, p: int) -> int:

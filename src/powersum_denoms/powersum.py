@@ -3,10 +3,11 @@
 S_n(x) interpolates 1^n + 2^n + ... + (x-1)^n, so S_n(x) + x^n interpolates
 the sum up to x^n.  d_n is the least common denominator of either form, and
 q_n = d_n / (n+1) is the squarefree quotient that the formulas in
-:mod:`powersum_denoms.formulas` reproduce; its ``_prime_factors`` checks
-that it is squarefree.  Only the shifted form is built, as the integer
-numerators of the cached B_{n+1}(x) over one scale, with no ``Fraction``
-arithmetic; ``d_n`` reads the denominator of both forms off one gcd.
+:mod:`powersum_denoms.formulas` reproduce; the package's one factoriser,
+``_primes._prime_factors``, checks that it is squarefree.  Only the
+shifted form is built, as the integer numerators of the cached B_{n+1}(x)
+over one scale, with no ``Fraction`` arithmetic; ``d_n`` reads the
+denominator of both forms off one gcd.
 ``power_sum_oracle`` interpolates the literal sums in ``Fraction``s, the
 independent check.  It and ``shifted_power_sum_poly`` load ``exact_poly``
 only when called, and they and ``bound_M`` alone load ``fractions``.
@@ -95,7 +96,7 @@ def q_n_bruteforce(n: int) -> int:
     if d % (n + 1) != 0:
         raise ArithmeticError(f"d_{n} = {d} is not divisible by {n + 1}")
     q = d // (n + 1)
-    from .formulas import _prime_factors
+    from ._primes import _prime_factors
 
     factors = _prime_factors(q)
     if len(set(factors)) != len(factors):

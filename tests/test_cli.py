@@ -218,6 +218,18 @@ def test_witness_errors(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("p", ["4", "2", "9", "1", "-3"])
+def test_witness_checks_p_before_the_search(capsys, monkeypatch, p):
+    # At n = 10^12 the search for q_n takes seconds; a --p that is not an odd
+    # prime is refused before it starts.
+    def refused(n):
+        raise AssertionError("witness searched q_n for a non-prime p")
+
+    monkeypatch.setattr(formulas, "q_n_formula", refused)
+    code, out, err = run(capsys, "witness", "--n", "1000000000000", "--p", p)
+    assert (code, out, err) == (2, "", f"error: --p must be an odd prime, got {p}\n")
+
+
 def _checkout_env() -> dict[str, str]:
     """The environment for a fresh interpreter that imports the package
     from this checkout."""
@@ -432,43 +444,48 @@ def test_commands_load_only_the_layers_they_use():
     # The package import loads no submodule.  The argv of every benchmark
     # job (the q and Dpoly b-file windows, poly --n N --shifted, verify
     # --suite all --max-n 60 --workers 2 and seq --method brute) is parsed
-    # without argparse, which only help and usage errors load.  seq loads
-    # the digit-sum layers formulas and padic, but neither the other
-    # commands' handlers nor the Bernoulli or power-sum layers; witness adds
-    # the handlers, and poly and the brute routes the two layers (a poly run
-    # alone loads neither digit-sum layer, as the next test checks).  Only
-    # verify loads the suites in checks.  No command loads fractions or
-    # the polynomial oracle in exact_poly: only the Fraction views such as
-    # shifted_power_sum_poly do.  No run loads dataclasses.
+    # without argparse, which only help and usage errors load.  seq by
+    # formula reads the search in the prime layer _primes: near 10^4 it
+    # loads nothing else, and near 10^6, where candidates pass the search's
+    # sieve, padic for its primality test.  The brute routes add the
+    # Bernoulli and power-sum layers but no digit-sum layer, which Dclausen
+    # loads, and witness adds the handlers (a poly run alone loads neither
+    # digit-sum layer, as the next test checks).  Only verify loads the
+    # suites in checks.  No command loads fractions or the polynomial oracle
+    # in exact_poly: only the Fraction views such as shifted_power_sum_poly
+    # do.  No run loads dataclasses.
     script = (
         "import sys\n"
         "import powersum_denoms\n"
-        "heavy = {'argparse', 'fractions', 'powersum_denoms.bernoulli',\n"
-        "         'powersum_denoms.checks', 'powersum_denoms.commands',\n"
-        "         'powersum_denoms.exact_poly', 'powersum_denoms.formulas',\n"
-        "         'powersum_denoms.padic', 'powersum_denoms.powersum', 'dataclasses'}\n"
-        "def report(names):\n"
-        "    print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
-        "report({m for m in sys.modules if m.startswith('powersum_denoms.')} | heavy)\n"
+        "heavy = {'argparse', 'fractions', 'dataclasses'}\n"
+        "def report():\n"
+        "    names = {m[16:] for m in sys.modules if m.startswith('powersum_denoms.')}\n"
+        "    print(sorted(names | (heavy & set(sys.modules))), file=sys.stderr)\n"
+        "report()\n"
         "from powersum_denoms import cli\n"
         "cli.main(['seq', '--seq', 'q', '--to', '5'])\n"
-        "cli.main(['seq', '--seq', 'q', '--format', 'bfile', '--from', '9000', '--to', '9009'])\n"
-        "cli.main(['seq', '--seq', 'Dpoly', '--format', 'bfile', '--from', '9000', '--to', '9004'])\n"
-        "cli.main(['seq', '--seq', 'Dclausen', '--from', '2', '--to', '10'])\n"
+        "cli.main(['seq', '--seq', 'q', '--format', 'bfile', '--from', '9000', '--to', '9249'])\n"
+        "cli.main(['seq', '--seq', 'd', '--from', '9000', '--to', '9009'])\n"
+        "cli.main(['seq', '--seq', 'Dpoly', '--format', 'bfile', '--from', '9000', '--to', '9124'])\n"
         "cli.main(['seq', '--seq', 'Dpoly', '--from', '1', '--to', '12'])\n"
-        "report(heavy)\n"
-        "cli.main(['witness', '--n', '20', '--p', '11'])\n"
-        "report(heavy)\n"
-        "cli.main(['poly', '--n', '4', '--shifted'])\n"
+        "report()\n"
+        "cli.main(['seq', '--seq', 'q', '--format', 'bfile', '--from', '1000000', '--to', '1000009'])\n"
+        "report()\n"
         "cli.main(['seq', '--seq', 'q', '--method', 'brute', '--from', '0', '--to', '20'])\n"
+        "cli.main(['seq', '--seq', 'd', '--method', 'brute', '--from', '0', '--to', '20'])\n"
+        "report()\n"
+        "cli.main(['seq', '--seq', 'Dclausen', '--from', '2', '--to', '10'])\n"
+        "report()\n"
+        "cli.main(['witness', '--n', '20', '--p', '11'])\n"
+        "cli.main(['poly', '--n', '4', '--shifted'])\n"
         "cli.main(['bench', '--max-n', '5'])\n"
-        "report(heavy)\n"
+        "report()\n"
         "cli.main(['verify', '--suite', 'hermite', '--max-n', '5'])\n"
         "cli.main(['verify', '--suite', 'all', '--max-n', '60', '--workers', '2'])\n"
-        "report(heavy)\n"
+        "report()\n"
         "from powersum_denoms import powersum\n"
         "powersum.shifted_power_sum_poly(3)\n"
-        "report(heavy)\n"
+        "report()\n"
         "import contextlib, io\n"
         "usage = io.StringIO()\n"
         "try:\n"
@@ -476,25 +493,31 @@ def test_commands_load_only_the_layers_they_use():
         "        cli.main(['seq', '--to'])\n"
         "except SystemExit as exc:\n"
         "    print(exc.code, usage.getvalue().split(' [')[0], file=sys.stderr)\n"
-        "report(heavy)\n"
+        "report()\n"
     )
     proc = _python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
+    searched = ["_primes", "cli"]
+    tested = ["_primes", "_record", "cli", "padic"]
+    brute = ["_primes", "_record", "bernoulli", "cli", "padic", "powersum"]
+    digits = ["_primes", "_record", "bernoulli", "cli", "formulas", "padic", "powersum"]
+    handlers = ["_primes", "_record", "bernoulli", "cli", "commands", "formulas", "padic",
+                "powersum"]
+    suites = ["_primes", "_record", "bernoulli", "checks", "cli", "commands", "formulas",
+              "padic", "powersum"]
+    views = ["_primes", "_record", "bernoulli", "checks", "cli", "commands", "exact_poly",
+             "formulas", "fractions", "padic", "powersum"]
     assert proc.stderr.decode().splitlines() == [
         "[]",
-        "['powersum_denoms.formulas', 'powersum_denoms.padic']",
-        "['powersum_denoms.commands', 'powersum_denoms.formulas', 'powersum_denoms.padic']",
-        "['powersum_denoms.bernoulli', 'powersum_denoms.commands', 'powersum_denoms.formulas', "
-        "'powersum_denoms.padic', 'powersum_denoms.powersum']",
-        "['powersum_denoms.bernoulli', 'powersum_denoms.checks', 'powersum_denoms.commands', "
-        "'powersum_denoms.formulas', 'powersum_denoms.padic', 'powersum_denoms.powersum']",
-        "['fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
-        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.formulas', "
-        "'powersum_denoms.padic', 'powersum_denoms.powersum']",
+        str(searched),
+        str(tested),
+        str(brute),
+        str(digits),
+        str(handlers),
+        str(suites),
+        str(views),
         "2 usage: powersum-denoms seq",
-        "['argparse', 'fractions', 'powersum_denoms.bernoulli', 'powersum_denoms.checks', "
-        "'powersum_denoms.commands', 'powersum_denoms.exact_poly', 'powersum_denoms.formulas', "
-        "'powersum_denoms.padic', 'powersum_denoms.powersum']",
+        str(sorted(["argparse", *views])),
     ]
 
 
@@ -502,31 +525,65 @@ def test_commands_load_only_the_layers_they_use():
     "argv, loaded",
     [
         (
-            ["verify", "--suite", "all", "--max-n", "60", "--workers", "2"],
-            ("checks", "formulas", "padic"),
+            ["seq", "--seq", "q", "--format", "bfile", "--from", "9750", "--to", "9999"],
+            ("_primes", "cli"),
         ),
-        (["poly", "--n", "644", "--shifted"], ("commands",)),
-        (["witness", "--n", "20", "--p", "11"], ("commands", "formulas", "padic")),
-        (["bench", "--max-n", "5"], ("commands", "formulas", "padic")),
+        (["seq", "--seq", "d", "--from", "9750", "--to", "9999"], ("_primes", "cli")),
+        (
+            ["seq", "--seq", "Dpoly", "--format", "bfile", "--from", "9875", "--to", "9999"],
+            ("_primes", "cli"),
+        ),
+        (
+            ["seq", "--seq", "Dpoly", "--format", "bfile", "--from", "1000000", "--to", "1000009"],
+            ("_primes", "_record", "cli", "padic"),
+        ),
+        (
+            ["seq", "--seq", "q", "--method", "brute", "--from", "0", "--to", "200"],
+            ("_primes", "_record", "bernoulli", "cli", "powersum"),
+        ),
+        (
+            ["seq", "--seq", "Dclausen", "--from", "2", "--to", "10"],
+            ("_primes", "_record", "cli", "formulas", "padic"),
+        ),
+        (
+            ["verify", "--suite", "all", "--max-n", "60", "--workers", "2"],
+            ("_primes", "_record", "bernoulli", "checks", "cli", "formulas", "padic", "powersum"),
+        ),
+        (["poly", "--n", "644", "--shifted"], ("_record", "bernoulli", "cli", "commands",
+                                                "powersum")),
+        (
+            ["witness", "--n", "20", "--p", "11"],
+            ("_primes", "_record", "cli", "commands", "formulas", "padic"),
+        ),
+        (
+            ["bench", "--max-n", "5"],
+            ("_primes", "_record", "bernoulli", "cli", "commands", "formulas", "padic",
+             "powersum"),
+        ),
     ],
-    ids=("verify", "poly", "witness", "bench"),
+    ids=("q-window", "d-window", "Dpoly-window", "Dpoly-10^6", "brute", "Dclausen", "verify",
+         "poly", "witness", "bench"),
 )
 def test_each_command_loads_only_its_own_handler_module(argv, loaded):
-    # verify's handler sits beside its suites in checks, and the other
-    # handlers in commands: a run loads the one module its command needs,
-    # and a table-parsed argv loads no argparse.  poly loads neither digit-sum
-    # layer, formulas nor padic, which the other three use.
+    # Each run in a fresh interpreter, which lists every submodule it
+    # loaded.  verify's handler sits beside its suites in checks, and the
+    # other handlers in commands: a run loads the one module its command
+    # needs, and a table-parsed argv loads no argparse.  A window by formula
+    # near 10^4 loads the search's module _primes and nothing more: no
+    # record type, and no primality test, since its sieve decides every
+    # candidate.  Near 10^6 candidates pass the sieve and padic tests them.
+    # The brute route loads neither digit-sum layer, and poly neither
+    # _primes nor a digit-sum layer.
     script = (
         "import sys\n"
         "from powersum_denoms import cli\n"
         f"cli.main({argv!r})\n"
-        "names = {'argparse', 'powersum_denoms.checks', 'powersum_denoms.commands',\n"
-        "         'powersum_denoms.formulas', 'powersum_denoms.padic'}\n"
-        "print(sorted(names & set(sys.modules)), file=sys.stderr)\n"
+        "names = {m[16:] for m in sys.modules if m.startswith('powersum_denoms.')}\n"
+        "print(sorted(names | ({'argparse'} & set(sys.modules))), file=sys.stderr)\n"
     )
     proc = _python("-c", script, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr.decode().splitlines() == [str([f"powersum_denoms.{m}" for m in loaded])]
+    assert proc.stderr.decode().splitlines() == [str(list(loaded))]
 
 
 def test_cli_loads_process_pool_only_when_a_pool_starts():

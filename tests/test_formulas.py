@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powersum_denoms import formulas, padic
+from powersum_denoms import _primes, formulas, padic
+from powersum_denoms._primes import _prime_factors
 from powersum_denoms.formulas import (
-    _prime_factors,
     bernoulli_poly_denominator_formula,
     bernoulli_poly_denominator_formula_range,
     clausen_denominator,
@@ -281,7 +281,7 @@ def test_product_tree_matches_math_prod():
     for k in (2, 63, 64, 65, 128, 129, 1000, 4321):
         lists.append([rng.randrange(1, 10 ** rng.randrange(1, 30)) for _ in range(k)])
     for xs in lists:
-        assert formulas._product(xs) == prod(xs), len(xs)
+        assert _primes._product(xs) == prod(xs), len(xs)
 
 
 @pytest.mark.parametrize(
@@ -329,7 +329,7 @@ def test_window_matches_full_scan(start, length):
 
 def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
     # Near 10^4 the window's sieve reaches its largest candidate, so no
-    # candidate reaches is_prime.
+    # candidate reaches is_prime, which the search reads off padic.
     calls = []
     real = padic.is_prime
 
@@ -338,9 +338,26 @@ def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(padic, "is_prime", counted)
-    monkeypatch.setattr(formulas, "is_prime", counted)
     assert len(list(q_n_formula_range(9750, 10000))) == 250
     assert calls == []
+
+
+def test_window_near_10_6_tests_candidates_past_the_sieve_through_padic(monkeypatch):
+    # Near 10^6 a short window's candidates pass its sieve's lookup bound,
+    # 64 * isqrt(m), and the search tests them with padic.is_prime as bound
+    # when it is called, so a rebinding there (perfbench's tracer wraps it)
+    # sees every test.
+    expected = list(q_n_formula_range(10**6, 10**6 + 10))
+    calls = []
+    real = padic.is_prime
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(padic, "is_prime", counted)
+    assert list(q_n_formula_range(10**6, 10**6 + 10)) == expected
+    assert calls and min(calls) > 64 * 1000
 
 
 def test_poly_denominator_window_tests_each_index_once(monkeypatch):
@@ -361,5 +378,6 @@ def test_poly_denominator_window_tests_each_index_once(monkeypatch):
     monkeypatch.setattr(formulas, "is_prime", counted)
     monkeypatch.setattr(formulas, "clausen_denominator", refused)
     monkeypatch.setattr(formulas, "_prime_factors", refused)
+    monkeypatch.setattr(_primes, "_prime_factors", refused)
     assert len(list(bernoulli_poly_denominator_formula_range(9000, 9125))) == 125
     assert calls == []
