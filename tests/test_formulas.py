@@ -329,7 +329,7 @@ def test_window_matches_full_scan(start, length):
 
 def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
     # Near 10^4 the window's sieve reaches its largest candidate, so no
-    # candidate reaches is_prime, which the search reads off padic.
+    # candidate reaches is_prime, which the search would read off padic.
     calls = []
     real = padic.is_prime
 
@@ -338,6 +338,7 @@ def test_window_near_10_4_decides_every_candidate_by_lookup(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(padic, "is_prime", counted)
+    monkeypatch.setattr(formulas, "is_prime", counted)
     assert len(list(q_n_formula_range(9750, 10000))) == 250
     assert calls == []
 
