@@ -13,8 +13,6 @@ loads no submodule, and the first use of a name imports the module that
 defines it, so a program pays only for the layers it touches.
 """
 
-from importlib import import_module
-
 _EXPORTS = {
     "bernoulli": (
         "BernoulliTable",
@@ -24,9 +22,7 @@ _EXPORTS = {
     ),
     "exact_poly": (
         "RationalPolynomial",
-        "content_split",
         "lagrange_interpolate",
-        "poly_denominator",
     ),
     "formulas": (
         "EpsilonVector",
@@ -75,7 +71,9 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{module}"), name)
+    # __import__, which ``python -X importtime`` logs, returns the submodule
+    # itself when given a fromlist, as for ``from .module import name``.
+    value = getattr(__import__(f"{__name__}.{module}", fromlist=[name]), name)
     globals()[name] = value
     return value
 

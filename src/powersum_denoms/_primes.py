@@ -71,19 +71,17 @@ def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
     m >= 2p - 1, and, for odd p and even m, an even sum, so m >= 3p - 1."""
     # One sieve serves the call's windows: it lists the primes up to each
     # window's r and decides its candidates up to its last, hi (a = 0's) for
-    # t = 1 and otherwise (hi + 1) // 2, by lookup as far as cap.  A window
-    # that needs more makes it again, to r and twice that candidate, never
-    # past the call's own need: a short range sieves once, a single index to
-    # 64 times its r, and a range with a large stop holds no more than
-    # max(r, 2^20) bytes at any index it has reached.  r grows by one only
-    # every 2r indices, so sieving to r again costs little per index.
+    # t = 1 and otherwise (hi + 1) // 2, by lookup as far as cap, which is
+    # never past the call's own need.  A window that needs more makes it
+    # again, to r or, if more, twice that candidate up to cap: a short range
+    # sieves once, a single index to 64 times its r, and a range with a large
+    # stop holds no more than max(r, 2^20) bytes at any index it has reached.
+    # r grows by one only every 2r indices, so sieving to r again costs little.
     if start >= stop:
         return
-    top = isqrt(stop - 1)
-    cap = min(max(64, stop - start) * top, 1 << 20)
     need = stop if t else (stop + 1) // 2
-    bound = max(top, min(need, cap))
-    if need > cap:
+    cap = min(max(64, stop - start) * isqrt(stop - 1), 1 << 20, need)
+    if cap < need:
         # Only a candidate past cap is tested, by the module attribute, so
         # that a rebinding of padic.is_prime (a tracing wrapper, say) is used.
         from .padic import is_prime
@@ -96,7 +94,7 @@ def _digit_sum_primes(start: int, stop: int, t: int) -> Iterator[list[int]]:
         r = isqrt(hi - 1)
         last = min(hi if t else (hi + 1) // 2, cap)
         if max(r, last) >= len(composite):
-            composite = _sieve(min(bound, max(r, min(2 * last, cap))))
+            composite = _sieve(max(r, min(2 * last, cap)))
         size = len(composite) - 1
         hits: list[list[int]] = [[] for _ in range(lo, hi)]
         # Up to r, p's digit sum rises by one from m to m + 1, and is formed

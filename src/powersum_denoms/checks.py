@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from . import formulas, padic
 from ._primes import _prime_factors
-from .cli import Q_ROUTES, SUITES, UsageError, _nonneg
+from .cli import Q_ROUTES, SUITES, _nonneg
 
 
 def agreement(max_n: int) -> Iterator[str | None]:
@@ -100,7 +100,7 @@ def almkvist(max_n: int) -> Iterator[str | None]:
 
 def cmd_verify(args: SimpleNamespace) -> int:
     if args.workers < 1:
-        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     _nonneg("--max-n", args.max_n)
     failed = False
     for name in SUITES if args.suite == "all" else (args.suite,):

@@ -11,7 +11,7 @@ its options.  ``main`` parses the argv that callers send straight from that
 table; anything else (``-h``, ``--to=5``, an abbreviated or unknown flag, a
 bad or missing value) goes to the argparse parser that ``build_parser``
 builds from the same table, the one source of usage, help and error text.
-Each handler checks its own flags first and raises ``UsageError`` for a bad
+Each handler checks its own flags first and raises ``ValueError`` for a bad
 one.  ``cmd_seq`` lives here, ``verify``'s handler beside its suites in
 ``checks``, and the other three in ``commands``, each module imported only
 when one of its commands is dispatched.  ``Q_ROUTES`` holds the four q_n
@@ -53,17 +53,18 @@ from __future__ import annotations
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
-from importlib import import_module
 from operator import mul
 from types import SimpleNamespace
 
 
 def _module(name: str):
-    # A layer that only some commands load, imported on first use.  A hit in
-    # sys.modules costs a tenth of import_module, which the q_n routes that
-    # bench times would otherwise pay on every call.
+    # A layer that only some commands load, imported on first use through
+    # __import__, which ``python -X importtime`` logs.  A hit is a plain
+    # sys.modules read: the q_n routes that bench times look one up per call.
     module = f"{__package__}.{name}"
-    return sys.modules.get(module) or import_module(module)
+    if module not in sys.modules:
+        __import__(module)
+    return sys.modules[module]
 
 
 def _lazy(module: str, name: str) -> Callable[[object], object]:
@@ -109,26 +110,22 @@ def seq_values(sequence: str, method: str, ns: range) -> Iterator[int]:
     return qs if sequence == "q" else map(mul, range(ns.start + 1, ns.stop + 1), qs)
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _nonneg(flag: str, value: int) -> None:
     if value < 0:
-        raise UsageError(f"{flag} must be nonnegative, got {value}")
+        raise ValueError(f"{flag} must be nonnegative, got {value}")
 
 
 def cmd_seq(args: SimpleNamespace) -> int:
     sequence, method, start, end = args.sequence, args.method, args.start, args.end
     _nonneg("--from", start)
     if end < start:
-        raise UsageError(f"--to must be >= --from, got {start}..{end}")
+        raise ValueError(f"--to must be >= --from, got {start}..{end}")
     if method not in SEQ_METHODS[sequence]:
-        raise UsageError(f"method {method!r} is not available for --seq {sequence}")
+        raise ValueError(f"method {method!r} is not available for --seq {sequence}")
     if sequence == "Dclausen" and (start % 2 or end % 2 or start < 2):
-        raise UsageError("--seq Dclausen needs an even range starting at 2 or above")
+        raise ValueError("--seq Dclausen needs an even range starting at 2 or above")
     if sequence == "Dpoly" and start < 1:
-        raise UsageError("--seq Dpoly needs --from >= 1")
+        raise ValueError("--seq Dpoly needs --from >= 1")
     if args.fmt == "csv":
         print("n,value,method")
     line = {"plain": "{1}", "csv": f"{{0}},{{1}},{method}", "bfile": "{0} {1}"}[args.fmt]

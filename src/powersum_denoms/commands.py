@@ -3,7 +3,7 @@
 ``cli`` imports this module only when it dispatches one of these commands,
 so a ``seq`` or ``verify`` run neither compiles nor loads it; ``verify``'s
 handler lives in ``checks``, beside its suites.  Each handler takes the
-parsed arguments, checks its own flags first and raises ``UsageError`` for a
+parsed arguments, checks its own flags first and raises ``ValueError`` for a
 bad one.  Library functions are looked up on their modules at each call, so
 a rebound attribute (a tracing wrapper, say) is the one used.
 """
@@ -14,7 +14,7 @@ import sys
 from collections.abc import Iterator, Sequence
 from types import SimpleNamespace
 
-from .cli import METHODS, Q_ROUTES, UsageError, _nonneg
+from .cli import METHODS, Q_ROUTES, _nonneg
 
 
 def _poly_pieces(denominator: int, coeffs: Sequence[int]) -> Iterator[str]:
@@ -36,7 +36,7 @@ def cmd_poly(args: SimpleNamespace) -> int:
     n = args.n
     _nonneg("--n", n)
     if n == 0 and not args.shifted:
-        raise UsageError("the unshifted power sum needs --n >= 1")
+        raise ValueError("the unshifted power sum needs --n >= 1")
     if n == 0:
         print("x")
         return 0
@@ -59,15 +59,15 @@ def cmd_witness(args: SimpleNamespace) -> int:
 
     # A prime above the sharp bound never divides q_n.
     if p > formulas._prime_limit(n):
-        raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
+        raise ValueError(f"p is not a factor of q_n (n={n}, p={p})")
     # p is tested before the search, which takes seconds at n = 10^12, but
     # for a p that is_prime refuses: within the bound it puts n past 10^24,
     # where the search's sieve does not fit in memory and so reports first.
     if p < padic._MILLER_RABIN_BOUND and (p == 2 or not padic.is_prime(p)):
-        raise UsageError(f"--p must be an odd prime, got {p}")
+        raise ValueError(f"--p must be an odd prime, got {p}")
     q = formulas.q_n_formula(n)
     if p not in q.primes:
-        raise UsageError(f"p is not a factor of q_n (n={n}, p={p})")
+        raise ValueError(f"p is not a factor of q_n (n={n}, p={p})")
     w = padic.marble_witness(n + 1, p)
     residue = padic.lucas_binom_mod(n + 1, w.b, p)
     print(f"n = {n}, p = {p}")

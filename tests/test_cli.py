@@ -586,6 +586,23 @@ def test_each_command_loads_only_its_own_handler_module(argv, loaded):
     assert proc.stderr.decode().splitlines() == [str(list(loaded))]
 
 
+@pytest.mark.parametrize(
+    "argv, handlers",
+    [
+        (("poly", "--n", "4", "--shifted"), "powersum_denoms.commands"),
+        (("verify", "--suite", "hermite", "--max-n", "5"), "powersum_denoms.checks"),
+    ],
+    ids=("poly", "verify"),
+)
+def test_importtime_logs_the_layers_loaded_on_first_use(argv, handlers):
+    # cli loads a command's handler module when it dispatches the command;
+    # python -X importtime logs it, as it does every import statement.
+    proc = _python("-X", "importtime", "-m", "powersum_denoms", *argv, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    logged = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.decode().splitlines()}
+    assert handlers in logged
+
+
 def test_cli_loads_process_pool_only_when_a_pool_starts():
     # No command starts a pool: importing the CLI, a verify with --workers 2
     # and a bench leave the process machinery (about 20 ms of imports)

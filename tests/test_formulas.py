@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from itertools import islice
 from math import floor, prod
 
 import pytest
@@ -382,3 +383,44 @@ def test_poly_denominator_window_tests_each_index_once(monkeypatch):
     monkeypatch.setattr(_primes, "_prime_factors", refused)
     assert len(list(bernoulli_poly_denominator_formula_range(9000, 9125))) == 125
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "run, sieves, tests",
+    [
+        # The sieve reaches the call's need, (stop + 2) // 2 for q and stop
+        # for D(B_n(x)), so every candidate is decided by lookup.
+        (lambda: q_n_formula_range(9000, 9250), [4626], 0),
+        (lambda: bernoulli_poly_denominator_formula_range(9000, 9125), [9125], 0),
+        # A single index sieves to 64 times its isqrt(n + 1) and tests the
+        # candidates above.
+        (lambda: q_n_formula_range(10**6, 10**6 + 1), [64000], 14),
+        # Past 10^9 the sieve stops at 2^20; at 10^10 the windows
+        # narrow to 41 indices, so these are two of them.
+        (lambda: q_n_formula_range(10**9, 10**9 + 64), [1 << 20], 1324),
+        (lambda: q_n_formula_range(10**10, 10**10 + 82), [1 << 20], 19804),
+        # A range to 10^18 sieves for the indices it has reached: twice the
+        # last candidate of the window that outgrows the sieve.
+        (lambda: islice(q_n_formula_range(0, 10**18), 300), [66, 194], 0),
+    ],
+    ids=("q-9000", "Dpoly-9000", "q-10^6", "q-10^9", "q-10^10", "q-to-10^18"),
+)
+def test_search_sieves_and_tests_as_pinned(monkeypatch, run, sieves, tests):
+    # The sizes of the search's sieves and its number of primality tests,
+    # which its windows, lookup bound and regrowth rule decide between them.
+    sizes, calls = [], []
+    real_sieve, real_is_prime = _primes._sieve, padic.is_prime
+
+    def sieve(x):
+        sizes.append(x)
+        return real_sieve(x)
+
+    def is_prime(p):
+        calls.append(p)
+        return real_is_prime(p)
+
+    monkeypatch.setattr(_primes, "_sieve", sieve)
+    monkeypatch.setattr(padic, "is_prime", is_prime)
+    for _ in run():
+        pass
+    assert (sizes, len(calls)) == (sieves, tests)
