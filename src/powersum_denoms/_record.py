@@ -1,11 +1,16 @@
-"""The base of the package's small immutable result records.
+"""The base of the package's small immutable values: the result records and
+the tests' polynomial oracle.
 
 A record lists its fields in ``__slots__``: keyword or positional
 construction, a ``Name(field=value, ...)`` repr, equality by type and
-fields, a hash of the fields, and ``AttributeError`` on assignment.  The
-standard library's frozen data classes would give the same, but importing
-that module, and ``inspect`` behind it, takes longer than loading the
-``padic`` and ``formulas`` modules that a ``seq --seq q`` run needs.
+fields, a hash of the fields, and ``AttributeError`` on assignment and
+deletion.  The standard library's frozen data classes would give the same,
+but ``import dataclasses``, with ``inspect`` behind it, takes about 9 ms
+under ``python -X importtime`` (Python 3.11.7, 2 vCPUs), more than the 7 ms
+of ``_primes``, ``padic`` and ``formulas`` together.  Records load in the
+``poly``, ``verify``, ``witness``, ``bench``, brute ``seq`` and
+``seq --seq Dclausen`` runs; a ``seq`` window by formula near 10^4 loads
+none.
 """
 
 from __future__ import annotations

@@ -3,11 +3,11 @@
 No program path does ``Fraction`` polynomial arithmetic: d_n, q_n, the
 Faulhaber form and the denominator of B_n(x) are read off the scaled-integer
 B_n(x) of :mod:`powersum_denoms.bernoulli`.  This module checks them and is
-not a general polynomial API: an immutable coefficient vector with ``+``,
-``*`` and exact evaluation, its denominator and content split, and exact
-interpolation (behind ``powersum.power_sum_oracle``).  Only the ``Fraction``
-views in ``bernoulli`` and ``powersum`` import it, when called, so no CLI
-command loads it.
+not a general polynomial API: an immutable coefficient vector, a record
+like the package's results, with ``+``, ``*`` and exact evaluation, its
+denominator and content split, and exact interpolation.  Only
+``powersum.shifted_power_sum_poly`` and ``powersum.power_sum_oracle``
+import it, when called, so no CLI command loads it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
+from ._record import Record
+
 RationalLike = Union[Fraction, int]
 
 
-class RationalPolynomial:
+class RationalPolynomial(Record):
     """Immutable dense univariate polynomial with Fraction coefficients.
 
     ``coeffs[i]`` is the coefficient of x^i.  Trailing zeros are stripped on
@@ -35,10 +37,7 @@ class RationalPolynomial:
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("RationalPolynomial is immutable")
+        super().__init__(tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -81,14 +80,6 @@ class RationalPolynomial:
         for c in reversed(self.coeffs):
             acc = acc * xf + c
         return acc
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __repr__(self) -> str:
         return f"RationalPolynomial({list(self.coeffs)!r})"

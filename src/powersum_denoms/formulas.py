@@ -18,12 +18,13 @@ sum a + b is at least p exactly when p <= (n+1+a)/(a+1); together with
 p > (n+1)/(a+1) that leaves one candidate per quotient a, which needs only a
 primality test (Kellner, "On a product of certain primes", J. Number Theory,
 2017).  The search runs over windows of consecutive indices: one sieve per
-search, grown as its windows need, lists the small primes and decides the
-candidates up to a fixed bound by lookup, each small prime's digit sum is
-carried from one index to the next, and each quotient's candidate is
-decided once for the run of indices that share it.  A single index is a
-window of one.  The search, ``_digit_sum_primes``, lives in the private
-prime layer ``_primes`` with the sieve, the product tree and the factoriser.
+search, grown as its windows need, lists the small primes and decides by
+lookup the candidates up to min(max(64, w) * isqrt(m), 2^20) for w indices
+with last m = n+1, each small prime's digit sum is carried from one index to
+the next, and each quotient's candidate is decided once for the run of
+indices that share it.  A single index is a window of one.  The search,
+``_digit_sum_primes``, lives in the private prime layer ``_primes`` with the
+sieve, the product tree and the factoriser.
 
 The denominator D(B_n(x)) of the Bernoulli polynomial is the product of
 the primes p whose base-p digit sum s_p(n) is at least p - 1, for every

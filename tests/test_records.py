@@ -1,21 +1,28 @@
-"""The five result records behave like the frozen dataclasses they replace."""
+"""The six value types, the five result records and the polynomial oracle,
+all behave like frozen dataclasses."""
 
 import copy
 import pickle
+from fractions import Fraction as F
 
 import pytest
 
+import powersum_denoms
 from powersum_denoms import (
+    BernoulliTable,
     DigitExpansion,
     EpsilonVector,
     FaulhaberForm,
     MarbleWitness,
+    RationalPolynomial,
     SquarefreeProduct,
     faulhaber_form,
     marble_witness,
     q_n_epsilon,
     q_n_formula,
+    shifted_power_sum_poly,
 )
+from powersum_denoms._record import Record
 
 # (computed, built by hand, a different value of the same type, repr)
 RECORDS = [
@@ -49,6 +56,13 @@ RECORDS = [
         faulhaber_form(3),
         "FaulhaberForm(n=4, denominator=30, coeffs=(0, -1, 0, 10, 15, 6))",
     ),
+    (
+        shifted_power_sum_poly(4),
+        RationalPolynomial([0, F(-1, 30), 0, F(1, 3), F(1, 2), F(1, 5)]),
+        shifted_power_sum_poly(3),
+        "RationalPolynomial([Fraction(0, 1), Fraction(-1, 30), Fraction(0, 1), "
+        "Fraction(1, 3), Fraction(1, 2), Fraction(1, 5)])",
+    ),
 ]
 IDS = [type(r[0]).__name__ for r in RECORDS]
 
@@ -58,6 +72,7 @@ FIELDS = {
     SquarefreeProduct: ("primes", "value"),
     EpsilonVector: ("n", "exponents"),
     FaulhaberForm: ("n", "denominator", "coeffs"),
+    RationalPolynomial: ("coeffs",),
 }
 
 
@@ -118,3 +133,12 @@ def test_construction_takes_exactly_the_fields():
         DigitExpansion(3, p=3)
     with pytest.raises(TypeError):
         DigitExpansion(3, digit=(1,))
+
+
+def test_every_exported_value_type_is_a_record_with_a_row():
+    # BernoulliTable is the one exported class that is not a value: it grows.
+    exported = [getattr(powersum_denoms, name) for name in powersum_denoms.__all__]
+    values = {obj for obj in exported if isinstance(obj, type)} - {BernoulliTable}
+    assert BernoulliTable in exported
+    assert [cls for cls in values if not issubclass(cls, Record)] == []
+    assert values == {type(row[0]) for row in RECORDS} == FIELDS.keys()
